@@ -266,7 +266,10 @@ def _build_loss(sec: dict, data, is_matrix: bool):
         data = TabularDataset(data.features, 2.0 * data.targets - 1.0)
     elif kind == "squared-sigmoid" and targets <= {-1.0, 1.0}:
         data = TabularDataset(data.features, (data.targets + 1.0) / 2.0)
-    return _TABULAR_LOSSES[kind](data, bias=bias)
+    try:
+        return _TABULAR_LOSSES[kind](data, bias=bias)
+    except ValueError as exc:
+        raise ConfigError(f"loss.kind: {kind}: {exc}") from exc
 
 
 def _build_region(sec: dict, model_shape: tuple):

@@ -66,7 +66,7 @@ def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
     For a multiplier lam >= 0 each coordinate magnitude t_i solves
         t + lam * p * t^(p-1) = |x_i|,
     which is strictly increasing in t; the outer bisection drives
-    ||t(lam)||_p to r within 1e-10.
+    ||t(lam)||_p up to r from the feasible side, within 1e-10 * r.
     """
     a = np.abs(x)
     sign = np.sign(x)
@@ -95,10 +95,10 @@ def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
         lam = 0.5 * (lam_lo + lam_hi)
         t = magnitudes(lam)
         norm = lp_norm(t, p)
-        if abs(norm - r) <= _BISECT_TOL:
-            return sign * t
         if norm > r:
             lam_lo = lam
+        elif r - norm <= _BISECT_TOL * r:
+            return sign * t
         else:
             lam_hi = lam
     raise NumericFailure(
@@ -331,7 +331,17 @@ class GroupLpqBall(FeasibleSet):
         return w
 
     def _row_norms(self, x: np.ndarray, p: float) -> np.ndarray:
-        return np.array([lp_norm(row, p) for row in x])
+        """l_p norm of each row, rescaled by the row maximum as in lp_norm."""
+        a = np.abs(x)
+        top = a.max(axis=1)
+        if math.isinf(p):
+            return top
+        if p == 1.0:
+            return a.sum(axis=1)
+        a /= np.where(top > 0.0, top, 1.0)[:, None]
+        if p == 2.0:
+            return top * np.sqrt(np.sum(a ** 2, axis=1))
+        return top * np.sum(a ** p, axis=1) ** (1.0 / p)
 
     def norm(self, x) -> float:
         return lp_norm(self._row_norms(self._check(x), self.p), self.q)
@@ -348,13 +358,18 @@ class GroupLpqBall(FeasibleSet):
             v[0, 0] = self.r
             return v
         z = _conjugate(self.p)
-        inner = np.zeros(self.shape)
-        row_dual = np.zeros(self.m)
-        for i in range(self.m):
-            row = c[i]
-            if np.any(row):
-                inner[i] = _max_unit_vector(row, self.p)
-                row_dual[i] = lp_norm(row, z)
+        row_dual = self._row_norms(c, z)
+        # Row-wise _max_unit_vector; zero rows come out as zero rows.
+        if math.isinf(self.p):
+            inner = np.sign(c)
+        elif self.p == 1.0:
+            rows = np.arange(self.m)
+            cols = np.argmax(np.abs(c), axis=1)
+            inner = np.zeros(self.shape)
+            inner[rows, cols] = np.sign(c[rows, cols])
+        else:
+            scale = np.where(row_dual > 0.0, row_dual, 1.0)[:, None]
+            inner = np.sign(c) * (np.abs(c) / scale) ** (z - 1.0)
         outer = _max_unit_vector(row_dual, self.q)
         return -self.r * inner * outer[:, None]
 

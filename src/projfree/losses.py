@@ -7,7 +7,7 @@ so that the full index set reproduces gradient(w) exactly.
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, power_iteration_sym
+from .numerics import as_matrix, as_vector, lambda_max_bound
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -213,8 +213,8 @@ class QuadraticLoss(_TabularLoss):
         return (self.n_samples / idx.size) * 2.0 * (self._x[idx].T @ r[idx])
 
     def exact_smoothness(self) -> float:
-        """L = 2 * lambda_max(X^T X), computed by power iteration."""
-        return 2.0 * power_iteration_sym(self._x.T @ self._x)
+        """L = 2 * lambda_max(X^T X), rounded up so it is a true bound."""
+        return 2.0 * lambda_max_bound(self._x.T @ self._x)
 
 
 class SquaredSigmoidLoss(_TabularLoss):
@@ -294,8 +294,8 @@ class ObservedQuadraticLoss(Loss):
 def estimate_smoothness(loss, region, trials: int = 32, rng=None) -> float:
     """Upper bound on the gradient Lipschitz constant over a feasible region.
 
-    Quadratic losses get the exact constant 2 * lambda_max(X^T X) by power
-    iteration.  Everything else is probed on random feasible pairs and the
+    Quadratic losses get the exact constant 2 * lambda_max(X^T X), rounded
+    up.  Everything else is probed on random feasible pairs and the
     largest gradient-difference ratio is inflated by a 1.5x safety factor.
     """
     if isinstance(loss, QuadraticLoss):

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: norms, dual exponents, and a desk-scale SVD.
+"""Dense numeric kernels: norms, dual exponents, and LAPACK-backed spectra.
 
 Vectors and matrices are plain float64 numpy arrays.  Construction helpers
 reject non-finite entries; downstream code assumes finiteness.
@@ -11,13 +11,8 @@ import numpy as np
 
 from .errors import NumericFailure
 
-# Largest min(m, n) the Jacobi SVD accepts.  Everything here is desk scale.
-SVD_SIZE_LIMIT = 512
-
-# A Gram pair (i, j) counts as orthogonal once |<a_i, a_j>| falls below this
-# relative threshold; sweeps stop when every pair passes.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
+# lambda_max_bound's safety margin and rounding grid, in relative bits.
+_LAMBDA_GRID_BITS = 26
 
 
 def as_vector(x) -> np.ndarray:
@@ -83,106 +78,36 @@ class SvdResult:
     v: np.ndarray  # (n, k)
 
 
-def _orthonormal_fill(u: np.ndarray, cols) -> None:
-    """Replace the listed (zero) columns of u with unit vectors orthogonal to
-    the rest, chosen deterministically from the standard basis."""
-    m = u.shape[0]
-    for j in cols:
-        for b in range(m):
-            cand = np.zeros(m)
-            cand[b] = 1.0
-            cand -= u @ (u.T @ cand)
-            norm = float(np.linalg.norm(cand))
-            if norm > 1e-8:
-                u[:, j] = cand / norm
-                break
-        else:  # pragma: no cover - cannot happen for k <= m
-            raise NumericFailure("failed to complete orthonormal basis")
-
-
 def svd(a) -> SvdResult:
-    """One-sided Jacobi SVD of a dense matrix.
+    """Thin SVD by LAPACK: a = u @ diag(s) @ v.T, s sorted descending.
 
-    Columns of the working copy are rotated pairwise until the column Gram
-    matrix is diagonal to relative tolerance 1e-12, then read off as
-    singular values/vectors.  Intended for desk-scale problems; inputs with
-    min(m, n) > 512 are rejected.
+    The factors are orthonormal for zero and rank-deficient inputs too.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    if min(m, n) > SVD_SIZE_LIMIT:
-        raise ValueError(
-            f"svd supports min(m, n) <= {SVD_SIZE_LIMIT}, got shape {a.shape}"
-        )
-    if m < n:
-        r = svd(a.T)
-        return SvdResult(u=r.v, s=r.s, v=r.u)
-
-    work = a.copy()
-    v = np.eye(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci = work[:, i]
-                cj = work[:, j]
-                aa = float(ci @ ci)
-                bb = float(cj @ cj)
-                cc = float(ci @ cj)
-                if abs(cc) <= _JACOBI_TOL * math.sqrt(aa * bb) or cc == 0.0:
-                    continue
-                rotated = True
-                tau = (bb - aa) / (2.0 * cc)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                gi = cs * ci - sn * cj
-                gj = sn * ci + cs * cj
-                work[:, i] = gi
-                work[:, j] = gj
-                vi = cs * v[:, i] - sn * v[:, j]
-                vj = sn * v[:, i] + cs * v[:, j]
-                v[:, i] = vi
-                v[:, j] = vj
-        if not rotated:
-            break
-    else:
-        raise NumericFailure("Jacobi SVD failed to converge")
-
-    s = np.linalg.norm(work, axis=0)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    work = work[:, order]
-    v = v[:, order]
-
-    u = np.zeros((m, n))
-    zero_cols = []
-    for j in range(n):
-        if s[j] > 0.0:
-            u[:, j] = work[:, j] / s[j]
-        else:
-            zero_cols.append(j)
-    if zero_cols:
-        _orthonormal_fill(u, zero_cols)
-    return SvdResult(u=u, s=s, v=v)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"svd failed: {exc}") from exc
+    return SvdResult(u=u, s=s, v=vt.T)
 
 
-def power_iteration_sym(a: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
+def lambda_max_bound(a) -> float:
+    """Upper bound on the largest eigenvalue of a symmetric matrix.
+
+    LAPACK's eigenvalue carries an error near n * eps * ||a||, and its last
+    bits move with the BLAS thread count.  It is raised by a relative margin
+    of 2^-26 (1.5e-8; for a positive semidefinite a, lambda_max is ||a||, so
+    this covers the error) and then rounded up onto a grid of 2^-26 relative
+    steps, which gives the same value whatever the thread count.  The result
+    exceeds the computed eigenvalue by at most 4.5e-8 relative.
+    """
     a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("power iteration needs a square matrix")
-    x = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = a @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        new_lam = float(x @ (a @ x))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    raise NumericFailure("power iteration failed to converge")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    try:
+        lam = float(np.linalg.eigvalsh(a)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"eigenvalue solve failed: {exc}") from exc
+    bits = _LAMBDA_GRID_BITS
+    mant, expo = math.frexp(lam + abs(lam) * 2.0**-bits)
+    return math.ldexp(math.ceil(mant * 2.0**bits), expo - bits)

@@ -15,7 +15,7 @@ import numpy as np
 from .datasets import SyntheticSpec, gen_classification, gen_regression, standardize
 from .errors import NumericFailure
 from .feasible_sets import LpBall
-from .numerics import power_iteration_sym
+from .numerics import lambda_max_bound
 from .losses import (
     BiWeightLoss,
     QuadraticLoss,
@@ -146,7 +146,7 @@ def biweight_problem(
     region = LpBall(p=2.0, r=radius, d=d)
     loss = BiWeightLoss(data)
     x = data.features
-    smooth = 2.0 * power_iteration_sym(x.T @ x)
+    smooth = 2.0 * lambda_max_bound(x.T @ x)
     return BiweightProblem(
         loss=loss,
         region=region,

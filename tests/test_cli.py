@@ -183,6 +183,21 @@ def test_run_numeric_failure_exits_3(runner, tmp_path):
     assert "numeric failure" in result.stderr
 
 
+def test_run_logistic_on_non_binary_labels_exits_2(runner, tmp_path):
+    csv = tmp_path / "labels.csv"
+    csv.write_text("".join(f"{0.1 * i:.1f},{1 + i % 2}\n" for i in range(20)))
+    cfg = {
+        "dataset": {"kind": "csv", "path": str(csv), "target_column": 1},
+        "loss": {"kind": "logistic"},
+        "set": {"kind": "lp", "p": 2.0, "r": 1.0},
+        "optimizer": {"kind": "fw", "iters": 5},
+    }
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "labels in {-1, +1}" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # slope
 

@@ -125,6 +125,76 @@ def test_lmo_shape_mismatch():
         SchattenPBall(p=2.0, r=1.0, m=2, n=2).lmo(np.ones((3, 2)))
 
 
+def _unit_maximizer(c: np.ndarray, p: float) -> np.ndarray:
+    """Unit-l_p vector u maximizing <u, c>, straight from Holder's equality
+    case; zero for c = 0 and lowest index on p = 1 ties."""
+    u = np.zeros_like(c)
+    if not np.any(c):
+        return u
+    if p == 1.0:
+        j = int(np.argmax(np.abs(c)))
+        u[j] = np.sign(c[j])
+        return u
+    if math.isinf(p):
+        return np.sign(c)
+    q = p / (p - 1.0)
+    return np.sign(c) * (np.abs(c) / np.linalg.norm(c, q)) ** (q - 1.0)
+
+
+def _group_reference(c: np.ndarray, p: float, q: float, r: float):
+    """Norm, dual norm and lmo of the group ball, one row at a time."""
+    pd = math.inf if p == 1.0 else (1.0 if math.isinf(p) else p / (p - 1.0))
+    qd = math.inf if q == 1.0 else (1.0 if math.isinf(q) else q / (q - 1.0))
+    norm = np.linalg.norm([np.linalg.norm(row, p) for row in c], q)
+    row_dual = np.array([np.linalg.norm(row, pd) for row in c])
+    inner = np.array([_unit_maximizer(row, p) for row in c])
+    outer = _unit_maximizer(row_dual, q)
+    return norm, np.linalg.norm(row_dual, qd), -r * inner * outer[:, None]
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, np.inf])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+def test_group_ball_matches_row_loop_reference(p, q):
+    ball = GroupLpqBall(p=p, q=q, r=1.7, m=6, n=4)
+    rng = np.random.default_rng(31)
+    random = rng.standard_normal((6, 4))
+    random[2] = 0.0
+    # Integer rows with ties inside a row (p = 1 picks the lowest column) and
+    # a repeated row, so the rows tie on their dual norms as well.
+    tied = np.array([
+        [2.0, -2.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [-3.0, 1.0, 3.0, -1.0],
+        [2.0, -2.0, 1.0, 0.0],
+        [0.0, -1.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    for c in (random, tied):
+        norm, dual, v = _group_reference(c, p, q, ball.r)
+        assert ball.norm(c) == pytest.approx(norm, rel=1e-12)
+        assert ball.dual_norm(c) == pytest.approx(dual, rel=1e-12)
+        np.testing.assert_allclose(ball.lmo(c), v, rtol=1e-12, atol=1e-15)
+        assert not np.any(ball.lmo(c)[~np.any(c, axis=1)])
+
+
+def test_group_lmo_l1_ties_break_to_lowest_index():
+    ball = GroupLpqBall(p=1.0, q=1.0, r=1.0, m=3, n=3)
+    c = np.array([[0.0, 0.0, 0.0], [1.0, -4.0, 4.0], [4.0, 4.0, 0.0]])
+    expected = np.zeros((3, 3))
+    expected[1, 1] = 1.0
+    np.testing.assert_array_equal(ball.lmo(c), expected)
+
+
+def test_schatten_lmo_duality_beyond_old_size_cap():
+    ball = SchattenPBall(p=1.5, r=2.0, m=600, n=520)
+    c = np.random.default_rng(17).standard_normal((600, 520))
+    v = ball.lmo(c)
+    s = np.linalg.svd(c, compute_uv=False)
+    assert float(np.vdot(v, c)) == pytest.approx(
+        -ball.r * np.linalg.norm(s, 3.0), rel=1e-9
+    )
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -216,6 +286,16 @@ def test_project_schatten_acts_on_spectrum():
     ball = SchattenPBall(p=2.0, r=1.0, m=2, n=2)
     got = ball.project(np.diag([3.0, 4.0]))
     np.testing.assert_allclose(got, np.diag([0.6, 0.8]), atol=1e-10)
+
+
+@pytest.mark.parametrize("radius", [1e-9, 1e6, 1e8])
+def test_project_l15_extreme_radii_land_on_boundary(radius):
+    # The bisection stops relative to the radius, on the feasible side.
+    ball = LpBall(p=1.5, r=radius, d=10)
+    for seed in range(20):
+        x = 2.0 * ball.random_boundary(np.random.default_rng(seed))
+        nrm = ball.norm(ball.project(x))
+        assert radius * (1.0 - 1e-9) <= nrm <= radius, seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Scalar and matrix primitives: norms, dual exponents, SVD, power iteration.
+"""Scalar and matrix primitives: norms, dual exponents, SVD, lambda_max.
 
 Reference values were frozen from a 40-digit multi-precision evaluation of
-the defining formulas; the SVD checks compare against LAPACK, which uses a
-different algorithm than the one implemented here.
+the defining formulas; the SVD checks test the factorization's defining
+properties, and the lambda_max bound is checked against eigvalsh.
 """
 
 import numpy as np
@@ -12,8 +12,8 @@ from projfree.numerics import (
     as_matrix,
     as_vector,
     dual_exponent,
+    lambda_max_bound,
     lp_norm,
-    power_iteration_sym,
     svd,
 )
 
@@ -186,21 +186,35 @@ def test_svd_zero_matrix():
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# lambda_max bound
 
 
-def test_power_iteration_known_2x2():
+def test_lambda_max_bound_known_2x2():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert power_iteration_sym(a) == pytest.approx(3.0, rel=1e-7)
+    assert lambda_max_bound(a) == pytest.approx(3.0, rel=1e-7)
 
 
-def test_power_iteration_matches_eigvalsh():
+def test_lambda_max_bound_matches_eigvalsh():
     rng = np.random.default_rng(5)
     b = rng.standard_normal((6, 6))
     a = b @ b.T
     ref = float(np.linalg.eigvalsh(a)[-1])
-    assert power_iteration_sym(a) == pytest.approx(ref, rel=1e-6)
+    assert lambda_max_bound(a) == pytest.approx(ref, rel=1e-6)
 
 
-def test_power_iteration_zero_matrix():
-    assert power_iteration_sym(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-12)
+def test_lambda_max_bound_zero_matrix():
+    assert lambda_max_bound(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lambda_max_bound_is_a_tight_upper_bound(seed):
+    b = np.random.default_rng(seed).standard_normal((40, 25))
+    a = b.T @ b
+    ref = float(np.linalg.eigvalsh(a)[-1])
+    bound = lambda_max_bound(a)
+    assert ref < bound <= ref * (1.0 + 4.5e-8)
+
+
+def test_lambda_max_bound_rejects_non_square():
+    with pytest.raises(ValueError):
+        lambda_max_bound(np.ones((2, 3)))
