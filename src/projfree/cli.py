@@ -170,6 +170,14 @@ _TABULAR_LOSSES = {
 }
 
 
+def _load(loader, *args, **kwargs):
+    """Call a dataset loader; a missing or malformed file is a ConfigError."""
+    try:
+        return loader(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
+
+
 def _build_dataset(sec: dict):
     """Returns (data, is_matrix)."""
     sec = _require_mapping(sec, "dataset")
@@ -223,7 +231,8 @@ def _build_dataset(sec: dict):
             "dataset", sec,
             {"kind", "path", "target_column", "has_header", "standardize"},
         )
-        data = load_delimited(
+        data = _load(
+            load_delimited,
             _str_field("dataset", sec, "path"),
             _int_field("dataset", sec, "target_column"),
             has_header=_bool_field("dataset", sec, "has_header", False),
@@ -231,11 +240,11 @@ def _build_dataset(sec: dict):
         std = _bool_field("dataset", sec, "standardize", False)
     elif kind == "libsvm":
         _reject_unknown("dataset", sec, {"kind", "path", "standardize"})
-        data = load_libsvm(_str_field("dataset", sec, "path"))
+        data = _load(load_libsvm, _str_field("dataset", sec, "path"))
         std = _bool_field("dataset", sec, "standardize", False)
     else:  # ratings
         _reject_unknown("dataset", sec, {"kind", "path"})
-        return load_ratings(_str_field("dataset", sec, "path")), True
+        return _load(load_ratings, _str_field("dataset", sec, "path")), True
     if std:
         data, _ = standardize(data)
     return data, False
@@ -544,7 +553,10 @@ def run(config_path, seed, iters, out, timings):
         except ValueError:
             pass
     if info["trace_path"]:
-        write_trace(trace, info["trace_path"])
+        try:
+            write_trace(trace, info["trace_path"])
+        except OSError as exc:
+            raise click.UsageError(f"could not write trace: {exc}")
         click.echo(f"trace written: {info['trace_path']}")
 
 

@@ -1,5 +1,17 @@
 """Projection-free and projected first-order methods.
 
+All five run functions share one loop, `_drive`: it checks the iteration
+count and the starting point, times each update, records the diagnostics,
+applies the guards and calls the observer.  A method supplies only
+
+    update(t, w, rng, timed) -> (snapshot, direction, batch, oracle_ms, proj_ms)
+
+which computes iterate t from w = w_{t-1} as a fresh array (observers may
+keep it) and returns its `IterateSnapshot`, the search direction whose norm
+is recorded, the batch size (None for a full gradient) and the time of its
+oracle call or projection (None when not `timed` or not made).  The update
+checks its direction with `_guard_finite` before that call.
+
 Conventions shared by every run function:
 
 * w_0 is the initial point (default: an oracle vertex along a random unit
@@ -29,12 +41,16 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
 # ---------------------------------------------------------------------------
-# step-size rules
+# step-size rules: step(t, objective, region, w, v, g) is gamma_t on the chord
+# from w to the oracle vertex v, where g is the gradient at w
 
 
 @dataclass
 class PredefinedDecay:
     """gamma_t = 2 / (t + 1)."""
+
+    def step(self, t, objective, region, w, v, g) -> float:
+        return step_size_predefined(t)
 
 
 @dataclass
@@ -43,12 +59,23 @@ class QuadraticLineSearch:
 
     smoothness: float
 
+    def step(self, t, objective, region, w, v, g) -> float:
+        diff = v - w
+        directional = float(np.vdot(diff, g))
+        dist2 = float(np.vdot(diff, diff))
+        return line_search_quadratic(directional, dist2, self.smoothness)
+
 
 @dataclass
 class ExactLineSearch:
     """Golden-section search on the chord, interval tolerance `tol`."""
 
     tol: float = 1e-8
+
+    def step(self, t, objective, region, w, v, g) -> float:
+        return exact_line_search(
+            lambda gamma: objective.evaluate(w + gamma * (v - w)), self.tol
+        )
 
 
 @dataclass
@@ -58,8 +85,8 @@ class ShortStep:
     smoothness: float
     alpha: float
 
-
-StepRule = (PredefinedDecay, QuadraticLineSearch, ExactLineSearch, ShortStep)
+    def step(self, t, objective, region, w, v, g) -> float:
+        return short_step(region.dual_norm(g), self.alpha, self.smoothness)
 
 
 def step_size_predefined(t: int) -> float:
@@ -144,12 +171,12 @@ def exact_line_search(phi: Callable[[float], float], tol: float = 1e-8) -> float
 
 
 # ---------------------------------------------------------------------------
-# shared run plumbing
+# the run loop
 
 
 @dataclass
 class IterateSnapshot:
-    """Mid-run state handed to an observer callback (used by tests)."""
+    """Mid-run state handed to an observer callback."""
 
     t: int
     w: np.ndarray
@@ -159,27 +186,13 @@ class IterateSnapshot:
     gamma: float
 
 
-class _Clock:
-    """Milliseconds since construction, or None when timing is off."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self._start = time.perf_counter() if enabled else 0.0
-
-    def lap(self) -> Optional[float]:
-        if not self.enabled:
-            return None
-        now = time.perf_counter()
-        out = (now - self._start) * 1e3
-        self._start = now
-        return out
-
-
-def _split_loss(loss):
-    """(objective actually optimized, unperturbed loss for diagnostics)."""
-    if isinstance(loss, PerturbedLoss):
-        return loss, loss.base
-    return loss, loss
+def _timed(enabled: bool, fn, *args):
+    """(fn(*args), its wall time in ms, or None when timing is off)."""
+    if not enabled:
+        return fn(*args), None
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, (time.perf_counter() - start) * 1e3
 
 
 def _guard_finite(g: np.ndarray, t: int) -> np.ndarray:
@@ -195,7 +208,12 @@ def default_init(region, rng: np.random.Generator) -> np.ndarray:
     return region.lmo(direction)
 
 
-def _prepare(loss, region, init, rng):
+def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
+    """Run `update` for t = 1..iters.  A non-finite loss raises before its
+    record is appended; the divergence guard fires after the append and
+    before the observer."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     if rng is None:
         rng = np.random.default_rng(0)
     if init is None:
@@ -212,56 +230,66 @@ def _prepare(loss, region, init, rng):
         raise ValueError(
             f"loss expects parameters of shape {loss.shape}, region has {region.shape}"
         )
-    return w, rng
-
-
-def _record(
-    trace: Trace,
-    t: int,
-    objective,
-    base,
-    region,
-    w: np.ndarray,
-    gamma: float,
-    batch: Optional[int],
-    grad_norm: float,
-    step_ms: Optional[float],
-    oracle_ms: Optional[float],
-    proj_ms: Optional[float],
-) -> None:
-    f_val = base.evaluate(w)
-    if not math.isfinite(f_val):
-        raise NumericFailure(f"non-finite loss at iteration {t}")
-    h_val = None
-    if objective is not base:
-        h_val = objective.evaluate(w)
-    gap = fw_gap(region, w, base.gradient(w))
-    trace.append(
-        t, f_val, h_val, gap, gamma, batch, grad_norm,
-        step_ms=step_ms, oracle_ms=oracle_ms, proj_ms=proj_ms,
-    )
-    if f_val > DIVERGENCE_GUARD:
-        raise DivergenceError(
-            f"loss exceeded divergence guard ({f_val:.3e}) at iteration {t}", t
+    base = loss.base if isinstance(loss, PerturbedLoss) else loss
+    trace = Trace()
+    for t in range(1, iters + 1):
+        (snap, direction, batch, oracle_ms, proj_ms), step_ms = _timed(
+            record_timings, update, t, w, rng, record_timings
         )
-
-
-def _chord_step(rule, t, objective, region, w, v, g) -> float:
-    """Step size along the chord w -> v for the configured rule."""
-    if isinstance(rule, PredefinedDecay):
-        return step_size_predefined(t)
-    if isinstance(rule, QuadraticLineSearch):
-        diff = v - w
-        directional = float(np.vdot(diff, g))
-        dist2 = float(np.vdot(diff, diff))
-        return line_search_quadratic(directional, dist2, rule.smoothness)
-    if isinstance(rule, ExactLineSearch):
-        return exact_line_search(
-            lambda gamma: objective.evaluate(w + gamma * (v - w)), rule.tol
+        w = snap.w
+        f_val = base.evaluate(w)
+        if not math.isfinite(f_val):
+            raise NumericFailure(f"non-finite loss at iteration {t}")
+        h_val = None if loss is base else loss.evaluate(w)
+        gap = fw_gap(region, w, base.gradient(w))
+        trace.append(
+            t, f_val, h_val, gap, snap.gamma, batch,
+            float(np.linalg.norm(direction.ravel())),
+            step_ms=step_ms, oracle_ms=oracle_ms, proj_ms=proj_ms,
         )
-    if isinstance(rule, ShortStep):
-        return short_step(region.dual_norm(g), rule.alpha, rule.smoothness)
-    raise TypeError(f"unknown step rule: {rule!r}")
+        if f_val > DIVERGENCE_GUARD:
+            raise DivergenceError(
+                f"loss exceeded divergence guard ({f_val:.3e}) at iteration {t}", t
+            )
+        if on_iterate is not None:
+            on_iterate(snap)
+    trace.final_point = w
+    return trace
+
+
+def _averaging_update(region, gradient_at):
+    """Primal-averaging update; gradient_at(t, z, rng) supplies the search
+    direction p_t (averaged, instantaneous, or stochastic) and the batch size."""
+    v_prev = None  # v_0 is w_0
+
+    def update(t, w, rng, timed):
+        nonlocal v_prev
+        gamma = step_size_predefined(t)
+        z = (1.0 - gamma) * w + gamma * (w if v_prev is None else v_prev)
+        p, batch = gradient_at(t, z, rng)
+        p = _guard_finite(p, t)
+        v, oracle_ms = _timed(timed, region.lmo, p)
+        w = (1.0 - gamma) * w + gamma * v
+        v_prev = v
+        snap = IterateSnapshot(t=t, w=w, v=v, z=z, p=p, gamma=gamma)
+        return snap, p, batch, oracle_ms, None
+
+    return update
+
+
+def _projected_update(region, gradient_at, eta_at):
+    """Projected-gradient update; gradient_at(t, w, rng) supplies the
+    gradient and the batch size, eta_at(t) the step size."""
+
+    def update(t, w, rng, timed):
+        g, batch = gradient_at(t, w, rng)
+        g = _guard_finite(g, t)
+        eta = eta_at(t)
+        w, proj_ms = _timed(timed, region.project, w - eta * g)
+        snap = IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta)
+        return snap, g, batch, None, proj_ms
+
+    return update
 
 
 # ---------------------------------------------------------------------------
@@ -283,70 +311,18 @@ def fw_run(
     Update t forms w_t = (1 - gamma_t) w_{t-1} + gamma_t * lmo(grad(w_{t-1}))
     with gamma_t from the configured step rule.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    w, rng = _prepare(loss, region, init, rng)
-    objective, base = _split_loss(loss)
-    trace = Trace()
-    for t in range(1, iters + 1):
-        clock = _Clock(record_timings)
-        g = _guard_finite(objective.gradient(w), t)
-        inner = _Clock(record_timings)
-        v = region.lmo(g)
-        oracle_ms = inner.lap()
-        gamma = _chord_step(rule, t, objective, region, w, v, g)
-        w = (1.0 - gamma) * w + gamma * v
-        step_ms = clock.lap()
-        grad_norm = float(np.linalg.norm(g.ravel()))
-        _record(
-            trace, t, objective, base, region, w, gamma, None, grad_norm,
-            step_ms, oracle_ms, None,
-        )
-        if on_iterate is not None:
-            on_iterate(IterateSnapshot(t=t, w=w, v=v, z=None, p=None, gamma=gamma))
-    trace.final_point = w
-    return trace
+    if not hasattr(rule, "step"):
+        raise TypeError(f"unknown step rule: {rule!r}")
 
-
-def _pa_core(
-    loss,
-    region,
-    iters: int,
-    init,
-    rng,
-    record_timings: bool,
-    on_iterate,
-    gradient_at,
-) -> Trace:
-    """Shared primal-averaging loop; gradient_at(t, z) supplies the search
-    direction p_t (averaged, instantaneous, or stochastic) and the batch size."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    v_prev, rng = _prepare(loss, region, init, rng)
-    objective, base = _split_loss(loss)
-    w = v_prev.copy()
-    trace = Trace()
-    for t in range(1, iters + 1):
-        clock = _Clock(record_timings)
-        gamma = step_size_predefined(t)
-        z = (1.0 - gamma) * w + gamma * v_prev
-        p, batch = gradient_at(t, z)
-        p = _guard_finite(p, t)
-        inner = _Clock(record_timings)
-        v = region.lmo(p)
-        oracle_ms = inner.lap()
+    def update(t, w, rng, timed):
+        g = _guard_finite(loss.gradient(w), t)
+        v, oracle_ms = _timed(timed, region.lmo, g)
+        gamma = rule.step(t, loss, region, w, v, g)
         w = (1.0 - gamma) * w + gamma * v
-        step_ms = clock.lap()
-        grad_norm = float(np.linalg.norm(p.ravel()))
-        _record(
-            trace, t, objective, base, region, w, gamma, batch, grad_norm,
-            step_ms, oracle_ms, None,
-        )
-        if on_iterate is not None:
-            on_iterate(IterateSnapshot(t=t, w=w, v=v, z=z, p=p, gamma=gamma))
-        v_prev = v
-    trace.final_point = w
-    return trace
+        snap = IterateSnapshot(t=t, w=w, v=v, z=None, p=None, gamma=gamma)
+        return snap, g, None, oracle_ms, None
+
+    return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
 
 
 def pa_run(
@@ -368,24 +344,20 @@ def pa_run(
     option = option.upper()
     if option not in ("A", "B"):
         raise ValueError(f"pa_run option must be 'A' or 'B', got {option!r}")
-    objective = loss
+    p = None
 
-    state = {"p": None, "Theta": 0}
-
-    def gradient_at(t, z):
-        g = objective.gradient(z)
+    def gradient_at(t, z, rng):
+        nonlocal p
+        g = loss.gradient(z)
         if option == "B":
             return g, None
         theta, big_theta = theta_schedule(t)
-        state["Theta"] = big_theta
-        if state["p"] is None:
-            state["p"] = g
-        else:
-            state["p"] = ((big_theta - theta) * state["p"] + theta * g) / big_theta
-        return state["p"], None
+        p = g if p is None else ((big_theta - theta) * p + theta * g) / big_theta
+        return p, None
 
-    return _pa_core(
-        loss, region, iters, init, rng, record_timings, on_iterate, gradient_at
+    return _drive(
+        loss, region, iters, init, rng, record_timings, on_iterate,
+        _averaging_update(region, gradient_at),
     )
 
 
@@ -413,20 +385,16 @@ def spa_run(
     Once the schedule reaches N the update coincides with the deterministic
     instantaneous-gradient run in exact arithmetic.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = loss.n_samples
 
-    def gradient_at(t, z):
+    def gradient_at(t, z, rng):
         size = spa_batch_size(t, n)
-        if size == n:
-            idx = np.arange(n)
-        else:
-            idx = rng.choice(n, size=size, replace=False)
+        idx = np.arange(n) if size == n else rng.choice(n, size=size, replace=False)
         return loss.stochastic_gradient(z, idx), size
 
-    return _pa_core(
-        loss, region, iters, init, rng, record_timings, on_iterate, gradient_at
+    return _drive(
+        loss, region, iters, init, rng, record_timings, on_iterate,
+        _averaging_update(region, gradient_at),
     )
 
 
@@ -443,28 +411,10 @@ def projected_gd_run(
     """Projected gradient descent with a constant step size."""
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    w, rng = _prepare(loss, region, init, rng)
-    objective, base = _split_loss(loss)
-    trace = Trace()
-    for t in range(1, iters + 1):
-        clock = _Clock(record_timings)
-        g = _guard_finite(objective.gradient(w), t)
-        y = w - eta * g
-        inner = _Clock(record_timings)
-        w = region.project(y)
-        proj_ms = inner.lap()
-        step_ms = clock.lap()
-        grad_norm = float(np.linalg.norm(g.ravel()))
-        _record(
-            trace, t, objective, base, region, w, eta, None, grad_norm,
-            step_ms, None, proj_ms,
-        )
-        if on_iterate is not None:
-            on_iterate(IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta))
-    trace.final_point = w
-    return trace
+    update = _projected_update(
+        region, lambda t, w, rng: (loss.gradient(w), None), lambda t: eta
+    )
+    return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
 
 
 def projected_sgd_run(
@@ -485,31 +435,16 @@ def projected_sgd_run(
     """
     if eta0 <= 0.0:
         raise ValueError(f"eta0 must be > 0, got {eta0}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    w, rng = _prepare(loss, region, init, rng)
-    objective, base = _split_loss(loss)
     n = loss.n_samples
     size = min(batch, n)
-    trace = Trace()
-    for t in range(1, iters + 1):
-        clock = _Clock(record_timings)
+
+    def gradient_at(t, w, rng):
         idx = rng.choice(n, size=size, replace=False)
-        g = _guard_finite(objective.stochastic_gradient(w, idx), t)
-        eta = eta0 / math.sqrt(t) if sqrt_decay else eta0
-        y = w - eta * g
-        inner = _Clock(record_timings)
-        w = region.project(y)
-        proj_ms = inner.lap()
-        step_ms = clock.lap()
-        grad_norm = float(np.linalg.norm(g.ravel()))
-        _record(
-            trace, t, objective, base, region, w, eta, size, grad_norm,
-            step_ms, None, proj_ms,
-        )
-        if on_iterate is not None:
-            on_iterate(IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta))
-    trace.final_point = w
-    return trace
+        return loss.stochastic_gradient(w, idx), size
+
+    update = _projected_update(
+        region, gradient_at, lambda t: eta0 / math.sqrt(t) if sqrt_decay else eta0
+    )
+    return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)

@@ -11,18 +11,20 @@ from typing import Optional
 
 import numpy as np
 
-CSV_HEADER = [
-    "t",
-    "loss_f",
-    "loss_h",
-    "fw_gap",
-    "gamma",
-    "batch",
-    "grad_norm",
-    "step_ms",
-    "oracle_ms",
-    "proj_ms",
-]
+# (name, cell type, may be empty), in file order
+_COLUMNS = (
+    ("t", int, False),
+    ("loss_f", float, False),
+    ("loss_h", float, True),
+    ("fw_gap", float, False),
+    ("gamma", float, False),
+    ("batch", int, True),
+    ("grad_norm", float, False),
+    ("step_ms", float, True),
+    ("oracle_ms", float, True),
+    ("proj_ms", float, True),
+)
+CSV_HEADER = [name for name, _, _ in _COLUMNS]
 
 
 @dataclass
@@ -70,19 +72,7 @@ class Trace:
         return len(self.t)
 
     def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i],
-                self.loss_f[i],
-                self.loss_h[i],
-                self.fw_gap[i],
-                self.gamma[i],
-                self.batch[i],
-                self.grad_norm[i],
-                self.step_ms[i],
-                self.oracle_ms[i],
-                self.proj_ms[i],
-            )
+        return zip(*(getattr(self, name) for name in CSV_HEADER))
 
     def records_equal(self, other: "Trace") -> bool:
         return list(self.rows()) == list(other.rows())
@@ -104,14 +94,10 @@ def write_trace(trace: Trace, path) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _parse(cell: str, kind):
-    if cell == "":
-        return None
-    return kind(cell)
-
-
 def read_trace(path) -> Trace:
-    trace = Trace()
+    # One flat list of strings, which the garbage collector does not track
+    # (kept row lists set off collections); each column is a strided slice.
+    cells = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -122,16 +108,12 @@ def read_trace(path) -> Trace:
         for row in reader:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"malformed trace row: {row!r}")
-            trace.append(
-                int(row[0]),
-                float(row[1]),
-                _parse(row[2], float),
-                float(row[3]),
-                float(row[4]),
-                _parse(row[5], int),
-                float(row[6]),
-                _parse(row[7], float),
-                _parse(row[8], float),
-                _parse(row[9], float),
-            )
+            cells.extend(row)
+    trace = Trace()
+    for i, (name, kind, optional) in enumerate(_COLUMNS):
+        column = cells[i :: len(_COLUMNS)]
+        if optional:
+            setattr(trace, name, [None if c == "" else kind(c) for c in column])
+        else:
+            setattr(trace, name, list(map(kind, column)))
     return trace

@@ -198,6 +198,37 @@ def test_run_logistic_on_non_binary_labels_exits_2(runner, tmp_path):
     assert "labels in {-1, +1}" in result.stderr
 
 
+def _csv_config(csv_path):
+    return _base_config(
+        dataset={"kind": "csv", "path": str(csv_path), "target_column": 1},
+        optimizer={"kind": "fw", "iters": 5},
+    )
+
+
+def test_run_missing_dataset_file_exits_2(runner, tmp_path):
+    path = _write_config(tmp_path, _csv_config(tmp_path / "absent.csv"))
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "absent.csv" in result.stderr
+
+
+def test_run_non_numeric_dataset_cell_exits_2(runner, tmp_path):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("0.1,1.0\nx,2.0\n0.3,3.0\n")
+    path = _write_config(tmp_path, _csv_config(csv))
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "non-numeric value 'x'" in result.stderr
+
+
+def test_run_trace_in_missing_directory_exits_2(runner, tmp_path):
+    out = tmp_path / "no-such-dir" / "trace.csv"
+    path = _write_config(tmp_path, _base_config(output={"trace": str(out)}))
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "could not write trace" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # slope
 
@@ -249,6 +280,25 @@ def test_slope_burn_in_eats_series(runner, tmp_path):
 def test_slope_rejects_malformed_trace(runner, tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not,a,trace\n1,2,3\n")
+    result = runner.invoke(main, ["slope", str(path)])
+    assert result.exit_code == 2
+    assert "could not read" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,,,0.5,1.0,,1.0,,,",  # required loss_f left empty
+        "1.5,2.0,,0.5,1.0,,1.0,,,",  # non-integer t
+        "1,2.0,,0.5",  # short row
+    ],
+)
+def test_read_trace_rejects_bad_rows(runner, tmp_path, row):
+    path = _power_law_trace(tmp_path, n=20)
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError):
+        read_trace(path)
     result = runner.invoke(main, ["slope", str(path)])
     assert result.exit_code == 2
     assert "could not read" in result.stderr

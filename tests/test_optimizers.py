@@ -483,6 +483,27 @@ def test_init_validation():
         fw_run(loss, region, PredefinedDecay(), iters=3, init=np.ones(3) * 10.0)
 
 
+def test_hooks_resolved_at_call_time(monkeypatch):
+    # Instrumentation wraps these two names on the module; the run loop and
+    # the step rules must look them up on every call, not bind them once.
+    from projfree import optimizers
+
+    calls = {"fw_gap": 0, "exact_line_search": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(optimizers, name, counting(name, getattr(optimizers, name)))
+    loss, region, _ = _interior_problem()
+    fw_run(loss, region, ExactLineSearch(), iters=5, rng=np.random.default_rng(7))
+    assert calls == {"fw_gap": 5, "exact_line_search": 5}
+
+
 def test_iteration_count_validation():
     loss, region, _ = _interior_problem()
     with pytest.raises(ValueError):
