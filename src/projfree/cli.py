@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 failed checks, 2 configuration or usage errors,
 """
 
 import math
+import os
 import sys
 
 import click
@@ -202,11 +203,14 @@ def _build_dataset(sec: dict):
         std = _bool_field("dataset", sec, "standardize", False)
     elif kind == "synthetic-classification":
         _reject_unknown("dataset", sec, {"kind", "n", "d", "margin", "seed"})
+        margin = _float_field("dataset", sec, "margin", 0.3, minimum=0.0)
+        if not margin < 1.0:
+            raise ConfigError(f"dataset.margin: must be < 1, got {margin}")
         spec = SyntheticSpec(
             kind="classification",
             n=_int_field("dataset", sec, "n", 500, minimum=1),
             d=_int_field("dataset", sec, "d", 10, minimum=1),
-            margin=_float_field("dataset", sec, "margin", 0.3, minimum=0.0),
+            margin=margin,
             seed=_int_field("dataset", sec, "seed", 0),
         )
         data, _ = gen_classification(spec)
@@ -376,6 +380,10 @@ def run_from_config(cfg: dict, overrides=None):
     trace_path = overrides.get("out")
     if trace_path is None:
         trace_path = _str_field("output", out, "trace", default=None)
+    if trace_path is not None:
+        folder = os.path.dirname(os.path.abspath(trace_path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"could not write trace: no writable directory {folder}")
     timings = bool(overrides.get("timings")) or _bool_field(
         "output", out, "timings", False
     )

@@ -1,9 +1,9 @@
 """Norm-ball constraint sets: l_p, Schatten-p, and group l_{p,q} balls.
 
-Each set exposes a linear minimization oracle (lmo), a Euclidean projection
-where a closed form or scalar dual solve exists, its strong-convexity
-parameter, diameters, and membership tests.  All oracles are deterministic,
-including tie-breaks on zero inputs.
+Each set exposes a closed-form linear minimization oracle (lmo), a Euclidean
+projection for exponents in [1, 2] or inf (closed form, or safeguarded Newton
+on the KKT multiplier for 1 < p < 2), its strong-convexity parameter,
+diameters and membership tests.  Oracles are deterministic on ties and zeros.
 """
 
 import math
@@ -17,8 +17,10 @@ from .numerics import as_matrix, as_vector, lp_norm, svd
 # treated as already feasible by project().
 _FEASIBLE_SLACK = 1e-12
 
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITER = 200
+# The l_p projection (1 < p < 2) lands inside the ball within _PROJ_RTOL * r
+# of its boundary; each of its Newton solves gives up after _NEWTON_MAX_ITER.
+_PROJ_RTOL = 1e-10
+_NEWTON_MAX_ITER = 200
 
 
 def _conjugate(p: float) -> float:
@@ -48,6 +50,13 @@ def _max_unit_vector(c: np.ndarray, p: float) -> np.ndarray:
     return np.sign(c) * (np.abs(c) / nq) ** (q - 1.0)
 
 
+def _lp_strong_convexity(p: float, r: float) -> float:
+    """Strong-convexity modulus of an l_p (or Schatten-p) ball of radius r."""
+    if not (1.0 < p <= 2.0):
+        raise ValueError(f"strong convexity is only defined for p in (1, 2], got p={p}")
+    return (p - 1.0) / r
+
+
 def _project_simplex(a: np.ndarray, r: float) -> np.ndarray:
     """Euclidean projection of a >= 0 onto the simplex {x >= 0, sum x = r}."""
     u = np.sort(a)[::-1]
@@ -59,51 +68,58 @@ def _project_simplex(a: np.ndarray, r: float) -> np.ndarray:
     return np.maximum(a - theta, 0.0)
 
 
-def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Projection onto the l_p ball, 1 < p < 2, by bisection on the KKT
-    multiplier.  Assumes ||x||_p > r.
+def _lp_magnitudes(a: np.ndarray, p: float, lam: float, s: np.ndarray):
+    """t(lam), s = t^(p-1) and dt/dlam for lam > 0, from any s right of the root.
 
-    For a multiplier lam >= 0 each coordinate magnitude t_i solves
-        t + lam * p * t^(p-1) = |x_i|,
-    which is strictly increasing in t; the outer bisection drives
-    ||t(lam)||_p up to r from the feasible side, within 1e-10 * r.
+    Each t_i solves t + lam p t^(p-1) = a_i, that is s^k + lam p s = a_i with
+    k = 1 / (p - 1): convex and increasing in s, so Newton from the right
+    decreases onto the root.  a^(p-1), a / (lam p) and the s of a smaller
+    multiplier all lie right of it.  The last step is taken in t, which keeps
+    the digits that s^k loses for p near 1.
+    """
+    c, k = lam * p, 1.0 / (p - 1.0)
+    s = np.minimum(s, a / c)
+    for _ in range(_NEWTON_MAX_ITER):
+        sk1 = s ** (k - 1.0)
+        step = (sk1 * s + c * s - a) / (k * sk1 + c)
+        s = s - step
+        if not np.any(step > 1e-13 * s):
+            break
+    else:
+        raise NumericFailure("l_p projection: coordinate Newton did not converge")
+    t = s ** k
+    # Zero only where t = s = 0 (zero inputs, underflow); the ratios are 0 there.
+    den = np.maximum(t + c * (p - 1.0) * s, np.finfo(float).tiny)
+    t = t - t * (t + c * s - a) / den
+    return t, s, -p * s * t / den
+
+
+def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
+    """Projection onto the l_p ball, 1 < p < 2, for ||x||_p > r, by Newton on
+    the KKT multiplier: phi(lam) = ||t(lam)||_p^p - r^p falls from phi(0) > 0.
+    Steps that leave the bracket [lo, hi] (outside, inside the ball) or find
+    phi flat bisect it, or double lo while hi is unbounded.  Newton aims at
+    mid-band, r (1 - _PROJ_RTOL / 2): aimed at r it creeps up from outside.
     """
     a = np.abs(x)
-    sign = np.sign(x)
-
-    def magnitudes(lam: float) -> np.ndarray:
-        # Inner solve, vectorized bisection on [0, a] per coordinate.
-        lo = np.zeros_like(a)
-        hi = a.copy()
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            big = mid + lam * p * np.power(mid, p - 1.0, where=mid > 0,
-                                           out=np.zeros_like(mid)) > a
-            hi = np.where(big, mid, hi)
-            lo = np.where(big, lo, mid)
-        return 0.5 * (lo + hi)
-
-    lam_lo, lam_hi = 0.0, 1.0
-    for _ in range(200):
-        if lp_norm(magnitudes(lam_hi), p) < r:
-            break
-        lam_hi *= 2.0
-    else:
-        raise NumericFailure("l_p projection: failed to bracket the multiplier")
-
-    for _ in range(_BISECT_MAX_ITER):
-        lam = 0.5 * (lam_lo + lam_hi)
-        t = magnitudes(lam)
+    target = (r * (1.0 - 0.5 * _PROJ_RTOL)) ** p
+    lam, lo, hi = 0.0, 0.0, math.inf
+    t, s = a, a ** (p - 1.0)
+    s_lo, dt = s, -p * s
+    for _ in range(_NEWTON_MAX_ITER):
         norm = lp_norm(t, p)
         if norm > r:
-            lam_lo = lam
-        elif r - norm <= _BISECT_TOL * r:
-            return sign * t
+            lo, s_lo = lam, s
+        elif r - norm <= _PROJ_RTOL * r:
+            return np.sign(x) * t
         else:
-            lam_hi = lam
-    raise NumericFailure(
-        f"l_p projection bisection did not converge within {_BISECT_MAX_ITER} iterations"
-    )
+            hi = lam
+        slope = p * float(np.sum(s * dt))
+        lam = lam - (norm**p - target) / slope if slope < 0.0 else math.nan
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+        t, s, dt = _lp_magnitudes(a, p, lam, s_lo)
+    raise NumericFailure("l_p projection: multiplier Newton did not converge")
 
 
 def _project_lp_vector(x: np.ndarray, p: float, r: float) -> np.ndarray:
@@ -127,6 +143,12 @@ class FeasibleSet:
     r: float
     shape: tuple
 
+    def _check(self, x) -> np.ndarray:
+        w = as_vector(x) if len(self.shape) == 1 else as_matrix(x)
+        if w.shape != self.shape:
+            raise ValueError(f"expected shape {self.shape}, got {w.shape}")
+        return w
+
     def norm(self, x) -> float:
         raise NotImplementedError
 
@@ -140,6 +162,12 @@ class FeasibleSet:
     def project(self, x) -> np.ndarray:
         """Euclidean-nearest feasible point; feasible inputs pass through."""
         raise NotImplementedError
+
+    def _first_vertex(self) -> np.ndarray:
+        """The lmo's deterministic answer for c = 0: r at the first entry."""
+        v = np.zeros(self.shape)
+        v.flat[0] = self.r
+        return v
 
     def strong_convexity(self) -> float:
         raise NotImplementedError
@@ -194,12 +222,6 @@ class LpBall(FeasibleSet):
     def __repr__(self):
         return f"LpBall(p={self.p}, r={self.r}, d={self.d})"
 
-    def _check(self, x) -> np.ndarray:
-        v = as_vector(x)
-        if v.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {v.shape}")
-        return v
-
     def norm(self, x) -> float:
         return lp_norm(self._check(x), self.p)
 
@@ -209,20 +231,14 @@ class LpBall(FeasibleSet):
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
         if not np.any(c):
-            v = np.zeros(self.d)
-            v[0] = self.r
-            return v
+            return self._first_vertex()
         return -self.r * _max_unit_vector(c, self.p)
 
     def project(self, x) -> np.ndarray:
         return _project_lp_vector(self._check(x), self.p, self.r)
 
     def strong_convexity(self) -> float:
-        if not (1.0 < self.p <= 2.0):
-            raise ValueError(
-                f"strong convexity is only defined for p in (1, 2], got p={self.p}"
-            )
-        return (self.p - 1.0) / self.r
+        return _lp_strong_convexity(self.p, self.r)
 
     def euclidean_diameter(self) -> float:
         expo = max(0.0, 0.5 - 1.0 / self.p)
@@ -248,12 +264,6 @@ class SchattenPBall(FeasibleSet):
     def __repr__(self):
         return f"SchattenPBall(p={self.p}, r={self.r}, m={self.m}, n={self.n})"
 
-    def _check(self, x) -> np.ndarray:
-        w = as_matrix(x)
-        if w.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {w.shape}")
-        return w
-
     def norm(self, x) -> float:
         return lp_norm(svd(self._check(x)).s, self.p)
 
@@ -262,15 +272,9 @@ class SchattenPBall(FeasibleSet):
 
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
-        if not np.any(c):
-            v = np.zeros(self.shape)
-            v[0, 0] = self.r
-            return v
         dec = svd(c)
-        if not np.any(dec.s):  # numerically zero spectrum
-            v = np.zeros(self.shape)
-            v[0, 0] = self.r
-            return v
+        if not np.any(dec.s):  # zero input or numerically zero spectrum
+            return self._first_vertex()
         w = _max_unit_vector(dec.s, self.p)
         return -self.r * (dec.u * w) @ dec.v.T
 
@@ -283,11 +287,7 @@ class SchattenPBall(FeasibleSet):
         return (dec.u * s) @ dec.v.T
 
     def strong_convexity(self) -> float:
-        if not (1.0 < self.p <= 2.0):
-            raise ValueError(
-                f"strong convexity is only defined for p in (1, 2], got p={self.p}"
-            )
-        return (self.p - 1.0) / self.r
+        return _lp_strong_convexity(self.p, self.r)
 
     def euclidean_diameter(self) -> float:
         k = min(self.m, self.n)
@@ -324,12 +324,6 @@ class GroupLpqBall(FeasibleSet):
             f"m={self.m}, n={self.n})"
         )
 
-    def _check(self, x) -> np.ndarray:
-        w = as_matrix(x)
-        if w.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {w.shape}")
-        return w
-
     def _row_norms(self, x: np.ndarray, p: float) -> np.ndarray:
         """l_p norm of each row, rescaled by the row maximum as in lp_norm."""
         a = np.abs(x)
@@ -354,9 +348,7 @@ class GroupLpqBall(FeasibleSet):
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
         if not np.any(c):
-            v = np.zeros(self.shape)
-            v[0, 0] = self.r
-            return v
+            return self._first_vertex()
         z = _conjugate(self.p)
         row_dual = self._row_norms(c, z)
         # Row-wise _max_unit_vector; zero rows come out as zero rows.

@@ -5,6 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from projfree import cli
 from projfree.cli import main
 from projfree.trace import Trace, read_trace, write_trace
 
@@ -221,12 +222,28 @@ def test_run_non_numeric_dataset_cell_exits_2(runner, tmp_path):
     assert "non-numeric value 'x'" in result.stderr
 
 
-def test_run_trace_in_missing_directory_exits_2(runner, tmp_path):
+def test_run_trace_in_missing_directory_exits_2(runner, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fw_run", lambda *args, **kwargs: calls.append(1))
     out = tmp_path / "no-such-dir" / "trace.csv"
     path = _write_config(tmp_path, _base_config(output={"trace": str(out)}))
     result = runner.invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 2
     assert "could not write trace" in result.stderr
+    assert calls == []  # refused before the run, not after it
+
+
+@pytest.mark.parametrize("margin", [1.0, 1.5])
+def test_run_classification_margin_out_of_range_exits_2(runner, tmp_path, margin):
+    cfg = _base_config(
+        dataset={"kind": "synthetic-classification", "n": 40, "d": 3,
+                 "margin": margin},
+        loss={"kind": "logistic"},
+        optimizer={"kind": "fw", "iters": 5},
+    )
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert result.exit_code == 2
+    assert "dataset.margin: must be < 1" in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall
+from projfree.numerics import lp_norm
 
 RNG = np.random.default_rng(123)
 
@@ -258,6 +259,8 @@ def test_project_l15_beats_dense_boundary_scan():
         SchattenPBall(p=1.5, r=1.0, m=3, n=4),
         SchattenPBall(p=np.inf, r=1.0, m=3, n=3),
         GroupLpqBall(p=2.0, q=1.5, r=1.0, m=3, n=4),
+        SchattenPBall(p=1.5, r=2.0, m=100, n=80),
+        GroupLpqBall(p=2.0, q=1.5, r=2.0, m=200, n=50),
     ],
 )
 def test_project_idempotent_and_variational(region):
@@ -267,9 +270,11 @@ def test_project_idempotent_and_variational(region):
         px = region.project(x)
         assert region.contains(px, tol=1e-7)
         np.testing.assert_allclose(region.project(px), px, atol=1e-9)
-        # variational inequality: <x - px, z - px> <= 0 for feasible z
-        for _ in range(20):
-            z = region.random_feasible(rng)
+        # variational inequality: <x - px, z - px> <= 0 for feasible z,
+        # tightest at the oracle vertex of px - x
+        for z in [region.random_feasible(rng) for _ in range(20)] + [
+            region.lmo(px - x)
+        ]:
             assert float(np.vdot(x - px, z - px)) <= 1e-6
 
 
@@ -290,12 +295,105 @@ def test_project_schatten_acts_on_spectrum():
 
 @pytest.mark.parametrize("radius", [1e-9, 1e6, 1e8])
 def test_project_l15_extreme_radii_land_on_boundary(radius):
-    # The bisection stops relative to the radius, on the feasible side.
+    # The Newton solve stops relative to the radius, on the feasible side.
     ball = LpBall(p=1.5, r=radius, d=10)
     for seed in range(20):
         x = 2.0 * ball.random_boundary(np.random.default_rng(seed))
         nrm = ball.norm(ball.project(x))
         assert radius * (1.0 - 1e-9) <= nrm <= radius, seed
+
+
+def _bisection_projection(x: np.ndarray, p: float, r: float) -> np.ndarray:
+    """Reference l_p projection, 1 < p < 2, ||x||_p > r: nested bisection.
+
+    The outer bisection on the KKT multiplier lam stops on a feasible norm
+    within 1e-10 * r of r; for each lam, 90 inner bisection passes on [0, |x_i|]
+    solve t + lam p t^(p-1) = |x_i| per coordinate.  Slow but independent of
+    the Newton solve in the library.
+    """
+    a = np.abs(x)
+
+    def magnitudes(lam):
+        lo, hi = np.zeros_like(a), a.copy()
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            big = mid + lam * p * np.power(mid, p - 1.0, where=mid > 0,
+                                           out=np.zeros_like(mid)) > a
+            hi = np.where(big, mid, hi)
+            lo = np.where(big, lo, mid)
+        return 0.5 * (lo + hi)
+
+    lam_lo, lam_hi = 0.0, 1.0
+    for _ in range(200):
+        if lp_norm(magnitudes(lam_hi), p) < r:
+            break
+        lam_hi *= 2.0
+    for _ in range(200):
+        lam = 0.5 * (lam_lo + lam_hi)
+        t = magnitudes(lam)
+        norm = lp_norm(t, p)
+        if norm > r:
+            lam_lo = lam
+        elif r - norm <= 1e-10 * r:
+            return np.sign(x) * t
+        else:
+            lam_hi = lam
+    raise AssertionError("reference bisection did not converge")
+
+
+def _vi_worst(region, x, px, rng, samples=20) -> float:
+    """max <x - px, z - px> over sampled feasible z and over the oracle vertex
+    of px - x, where the inequality is tightest; relative to ||x - px|| * r."""
+    resid = (x - px).ravel()
+    zs = [region.random_feasible(rng) for _ in range(samples)]
+    zs.append(region.lmo(px - x))
+    worst = max(float(resid @ (z - px).ravel()) for z in zs)
+    return worst / (float(np.linalg.norm(resid)) * region.r)
+
+
+def _extreme_inputs(d: int, rng: np.random.Generator) -> dict:
+    onehot = np.zeros(d)
+    onehot[d // 2] = -1.0
+    sparse = rng.standard_normal(d)
+    sparse[rng.permutation(d)[: max(1, d // 5)]] = 0.0
+    return {
+        "one-hot": onehot,
+        "tied": np.where(rng.random(d) < 0.5, -1.0, 1.0),
+        "20% zeros": sparse,
+        "random": rng.standard_normal(d),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 10, 1000])
+@pytest.mark.parametrize(
+    "p", [1.0 + 1e-6, 1.001, 1.1, 1.5, 1.9, 1.999, 1.999999]
+)
+def test_project_lp_interior_extremes_match_bisection(p, d):
+    # The projection scales with the radius, so one reference at r = 1 serves
+    # every radius.
+    rng = np.random.default_rng(int(1e6 * (p - 1.0)) + d)
+    for kind, u in _extreme_inputs(d, rng).items():
+        unit = 3.0 * u / lp_norm(u, p)
+        ref = _bisection_projection(unit, p, 1.0)
+        for radius in (1e-9, 1.0, 1e6, 1e8):
+            case = (kind, radius)
+            ball = LpBall(p=p, r=radius, d=d)
+            x = radius * unit
+            v = ball.project(x)
+            assert radius * (1.0 - 1e-10) <= ball.norm(v) <= radius, case
+            assert np.max(np.abs(v - radius * ref)) <= 1e-9 * radius, case
+            assert np.all(v * x >= 0.0) and np.all(v[x == 0.0] == 0.0), case
+            assert _vi_worst(ball, x, v, rng) <= 1e-9, case
+            np.testing.assert_array_equal(ball.project(v), v)
+
+
+def test_project_lp_interior_subnormal_inputs():
+    x = np.array([1.0, 1e-320, -3e-310, 0.0, -2.0])
+    for p in (1.0 + 1e-6, 1.001, 1.5, 1.999):
+        ball = LpBall(p=p, r=1.0, d=5)
+        v = ball.project(x)
+        assert 1.0 - 1e-10 <= ball.norm(v) <= 1.0, p
+        assert np.all(v * x >= 0.0) and v[3] == 0.0, p
 
 
 # ---------------------------------------------------------------------------

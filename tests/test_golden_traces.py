@@ -111,8 +111,8 @@ def _runs():
         loss, ball, ITERS, record_timings=timed, on_iterate=hook)
     runs["spa-tilted"] = lambda hook, timed: spa_run(
         tilted, ball, ITERS, rng=_rng(9), record_timings=timed, on_iterate=hook)
-    # The l_1.5 projection bisects, so only one projected run pays for it;
-    # the others project onto an l2 ball in closed form.
+    # The l_1.5 projection is an iterative Newton solve, so only one projected
+    # run exercises it; the others project onto an l2 ball in closed form.
     l2 = LpBall(p=2.0, r=0.6, d=8)
     biased, _ = _vector_problem(bias=True)
     for name, gd_loss, gd_ball in (("gd", loss, ball), ("gd-bias", biased, l2),
@@ -178,7 +178,7 @@ GOLDEN = {
     "spa": "804a920454ceb3de49247bd30ec9de3123c1a5a66a8e996d049e800be335dd99",
     "spa-default-rng": "82c288a2b37b188a79d3b605da745b5dc7a1ce4ce7d7311d69de374ce2ba73c9",
     "spa-tilted": "07f7f38ef4ba65f8b540e5247a3b7aba9eb84a474d5f5b4500ecf6a1c4d95383",
-    "gd": "86279d05c31263b1f731db326e7c94a014a5fe6d192e269330e5221d7dea2872",
+    "gd": "5d358b8c88a7b4aa466d96f6c11e316196f4daeb92baf4b0f0f9d18a2a213cd4",
     "gd-bias": "9e27e9f1eb4e05631bf6a5f602ba157615a99af16c5672dc0d3a813b201bb3db",
     "gd-tilted": "686d0e18f1dfa678ea7c23b5a86b81489e82f7558e2c62364e1e8797da7ac9d2",
     "sgd-sqrt": "9c1f04c63f3d7a0df93239a5d032efd6159bb4b4e8146e998d07a2d10cb8b27c",
