@@ -4,13 +4,17 @@ All five run functions share one loop, `_drive`: it checks the iteration
 count and the starting point, times each update, records the diagnostics,
 applies the guards and calls the observer.  A method supplies only
 
-    update(t, w, rng, timed) -> (snapshot, direction, batch, oracle_ms, proj_ms)
+    update(t, w, at_w, rng, timed)
+        -> (snapshot, direction, batch, oracle_ms, proj_ms, reused_ms)
 
 which computes iterate t from w = w_{t-1} as a fresh array (observers may
 keep it) and returns its `IterateSnapshot`, the search direction whose norm
-is recorded, the batch size (None for a full gradient) and the time of its
-oracle call or projection (None when not `timed` or not made).  The update
-checks its direction with `_guard_finite` before that call.
+is recorded, the batch size (None for a full gradient), the time of its
+oracle call or projection (None when not `timed` or not made) and the times
+of what it reused from `at_w`.  Past w_0, `at_w` holds the base loss's
+gradient at w and its oracle vertex, computed once by the driver for the
+gap: FW and GD reuse the gradient (plus any tilt), untilted FW the vertex.
+A new gradient is checked with `_guard_finite` before its oracle call.
 
 Conventions shared by every run function:
 
@@ -18,9 +22,11 @@ Conventions shared by every run function:
   direction); record t covers the iterate produced by update t, so traces
   are 1-indexed and hold exactly `iters` rows.
 * the Frank-Wolfe gap and the unperturbed loss are recorded at every new
-  iterate for diagnostics, outside the timed step.
+  iterate for diagnostics, outside the timed step; only `init` and the
+  final point are checked for feasibility.
 * timings are only collected (and serialized) when record_timings is set; a
-  default run is bit-deterministic given its seed.
+  default run is bit-deterministic given its seed.  `step_ms` and
+  `oracle_ms` include the gradient and oracle call the update reused.
 """
 
 import math
@@ -30,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import fw_gap
+from .diagnostics import fw_gap  # noqa: F401 -- kept for instrumentation by name
 from .errors import DivergenceError, NumericFailure
 from .perturbation import PerturbedLoss, sample_unit_sphere
 from .trace import Trace
@@ -201,6 +207,16 @@ def _guard_finite(g: np.ndarray, t: int) -> np.ndarray:
     return g
 
 
+def _loss_gradient(loss, w, at_w, t):
+    """(checked gradient of `loss` at w, times of what it reused from at_w)."""
+    if at_w is None:
+        return _guard_finite(loss.gradient(w), t), ()
+    g, _, g_ms, _ = at_w
+    if isinstance(loss, PerturbedLoss):  # bit-for-bit PerturbedLoss.gradient
+        return _guard_finite(g + loss.theta * loss.xi, t), (g_ms,)
+    return g, (g_ms,)  # the driver has checked it
+
+
 def default_init(region, rng: np.random.Generator) -> np.ndarray:
     """A feasible vertex: the oracle answer along a random unit direction."""
     size = int(np.prod(region.shape))
@@ -209,9 +225,9 @@ def default_init(region, rng: np.random.Generator) -> np.ndarray:
 
 
 def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
-    """Run `update` for t = 1..iters.  A non-finite loss raises before its
-    record is appended; the divergence guard fires after the append and
-    before the observer."""
+    """Run `update` for t = 1..iters.  A non-finite loss or gradient raises
+    before its record is appended; the divergence guard fires after the
+    append and before the observer."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if rng is None:
@@ -232,20 +248,24 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         )
     base = loss.base if isinstance(loss, PerturbedLoss) else loss
     trace = Trace()
+    at_w = None  # (base gradient at w, its oracle vertex, their times in ms)
     for t in range(1, iters + 1):
-        (snap, direction, batch, oracle_ms, proj_ms), step_ms = _timed(
-            record_timings, update, t, w, rng, record_timings
+        (snap, direction, batch, oracle_ms, proj_ms, reused_ms), step_ms = _timed(
+            record_timings, update, t, w, at_w, rng, record_timings
         )
         w = snap.w
         f_val = base.evaluate(w)
         if not math.isfinite(f_val):
             raise NumericFailure(f"non-finite loss at iteration {t}")
         h_val = None if loss is base else loss.evaluate(w)
-        gap = fw_gap(region, w, base.gradient(w))
+        g, g_ms = _timed(record_timings, base.gradient, w)
+        v, v_ms = _timed(record_timings, region.lmo, _guard_finite(g, t))
+        at_w = (g, v, g_ms, v_ms)
         trace.append(
-            t, f_val, h_val, gap, snap.gamma, batch,
+            t, f_val, h_val, float(np.vdot(w - v, g)), snap.gamma, batch,
             float(np.linalg.norm(direction.ravel())),
-            step_ms=step_ms, oracle_ms=oracle_ms, proj_ms=proj_ms,
+            step_ms=None if step_ms is None else step_ms + sum(reused_ms),
+            oracle_ms=oracle_ms, proj_ms=proj_ms,
         )
         if f_val > DIVERGENCE_GUARD:
             raise DivergenceError(
@@ -253,6 +273,8 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
             )
         if on_iterate is not None:
             on_iterate(snap)
+    if not region.contains(w, tol=1e-8):
+        raise NumericFailure("final point lies outside the feasible set")
     trace.final_point = w
     return trace
 
@@ -262,32 +284,31 @@ def _averaging_update(region, gradient_at):
     direction p_t (averaged, instantaneous, or stochastic) and the batch size."""
     v_prev = None  # v_0 is w_0
 
-    def update(t, w, rng, timed):
+    def update(t, w, at_w, rng, timed):
         nonlocal v_prev
         gamma = step_size_predefined(t)
         z = (1.0 - gamma) * w + gamma * (w if v_prev is None else v_prev)
         p, batch = gradient_at(t, z, rng)
-        p = _guard_finite(p, t)
-        v, oracle_ms = _timed(timed, region.lmo, p)
+        v, oracle_ms = _timed(timed, region.lmo, _guard_finite(p, t))
         w = (1.0 - gamma) * w + gamma * v
         v_prev = v
         snap = IterateSnapshot(t=t, w=w, v=v, z=z, p=p, gamma=gamma)
-        return snap, p, batch, oracle_ms, None
+        return snap, p, batch, oracle_ms, None, ()
 
     return update
 
 
 def _projected_update(region, gradient_at, eta_at):
-    """Projected-gradient update; gradient_at(t, w, rng) supplies the
-    gradient and the batch size, eta_at(t) the step size."""
+    """Projected-gradient update; gradient_at(t, w, at_w, rng) supplies the
+    checked gradient, the times it reused from at_w and the batch size,
+    eta_at(t) the step size."""
 
-    def update(t, w, rng, timed):
-        g, batch = gradient_at(t, w, rng)
-        g = _guard_finite(g, t)
+    def update(t, w, at_w, rng, timed):
+        g, reused_ms, batch = gradient_at(t, w, at_w, rng)
         eta = eta_at(t)
         w, proj_ms = _timed(timed, region.project, w - eta * g)
         snap = IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta)
-        return snap, g, batch, None, proj_ms
+        return snap, g, batch, None, proj_ms, reused_ms
 
     return update
 
@@ -314,13 +335,17 @@ def fw_run(
     if not hasattr(rule, "step"):
         raise TypeError(f"unknown step rule: {rule!r}")
 
-    def update(t, w, rng, timed):
-        g = _guard_finite(loss.gradient(w), t)
-        v, oracle_ms = _timed(timed, region.lmo, g)
+    def update(t, w, at_w, rng, timed):
+        if at_w is None or isinstance(loss, PerturbedLoss):
+            g, reused_ms = _loss_gradient(loss, w, at_w, t)
+            v, oracle_ms = _timed(timed, region.lmo, g)
+        else:  # untilted: the driver's gradient and vertex at w
+            g, v, g_ms, oracle_ms = at_w
+            reused_ms = (g_ms, oracle_ms)
         gamma = rule.step(t, loss, region, w, v, g)
         w = (1.0 - gamma) * w + gamma * v
         snap = IterateSnapshot(t=t, w=w, v=v, z=None, p=None, gamma=gamma)
-        return snap, g, None, oracle_ms, None
+        return snap, g, None, oracle_ms, None, reused_ms
 
     return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
 
@@ -412,7 +437,8 @@ def projected_gd_run(
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
     update = _projected_update(
-        region, lambda t, w, rng: (loss.gradient(w), None), lambda t: eta
+        region, lambda t, w, at_w, rng: (*_loss_gradient(loss, w, at_w, t), None),
+        lambda t: eta,
     )
     return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
 
@@ -440,9 +466,9 @@ def projected_sgd_run(
     n = loss.n_samples
     size = min(batch, n)
 
-    def gradient_at(t, w, rng):
+    def gradient_at(t, w, at_w, rng):
         idx = rng.choice(n, size=size, replace=False)
-        return loss.stochastic_gradient(w, idx), size
+        return _guard_finite(loss.stochastic_gradient(w, idx), t), (), size
 
     update = _projected_update(
         region, gradient_at, lambda t: eta0 / math.sqrt(t) if sqrt_decay else eta0

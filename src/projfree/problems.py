@@ -20,7 +20,6 @@ from .losses import (
     BiWeightLoss,
     QuadraticLoss,
     SquaredSigmoidLoss,
-    estimate_smoothness,
 )
 from .optimizers import projected_gd_run
 

@@ -29,7 +29,6 @@ from .losses import (
     ObservedQuadraticLoss,
     QuadraticLoss,
     SquaredSigmoidLoss,
-    estimate_smoothness,
 )
 from .optimizers import (
     ExactLineSearch,

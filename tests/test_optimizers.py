@@ -484,8 +484,10 @@ def test_init_validation():
 
 
 def test_hooks_resolved_at_call_time(monkeypatch):
-    # Instrumentation wraps these two names on the module; the run loop and
-    # the step rules must look them up on every call, not bind them once.
+    # Instrumentation wraps these two names on the module; the step rules
+    # must look them up on every call, not bind them once.  The run loop
+    # computes its gap from the gradient and vertex it hands to the next
+    # step and does not call the public fw_gap; the name stays importable.
     from projfree import optimizers
 
     calls = {"fw_gap": 0, "exact_line_search": 0}
@@ -501,7 +503,30 @@ def test_hooks_resolved_at_call_time(monkeypatch):
         monkeypatch.setattr(optimizers, name, counting(name, getattr(optimizers, name)))
     loss, region, _ = _interior_problem()
     fw_run(loss, region, ExactLineSearch(), iters=5, rng=np.random.default_rng(7))
-    assert calls == {"fw_gap": 5, "exact_line_search": 5}
+    assert calls == {"fw_gap": 0, "exact_line_search": 5}
+
+
+def test_nonfinite_gradient_at_an_iterate_is_divergence():
+    # w_0 = 0 has a zero gradient; at w_1 = 1e-290 the gradient overflows.
+    loss = QuadraticLoss(TabularDataset([[1e300]], [0.0]))
+    region = LpBall(2.0, 1e-290, 1)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+        fw_run(loss, region, PredefinedDecay(), 3, init=np.array([0.0]))
+    assert err.value.iteration == 1
+
+
+def test_final_point_outside_the_set_raises():
+    class LeakyBall(LpBall):
+        """Projects onto the sphere of radius 1.01 r."""
+
+        def project(self, x):
+            y = super().project(x)
+            return y * (1.01 * self.r / np.linalg.norm(y))
+
+    loss, _, _ = _interior_problem()
+    region = LeakyBall(p=2.0, r=0.1, d=3)
+    with pytest.raises(NumericFailure, match="final point"):
+        projected_gd_run(loss, region, eta=0.01, iters=5, init=np.zeros(3))
 
 
 def test_iteration_count_validation():
@@ -518,6 +543,125 @@ def test_eta_and_batch_validation():
         projected_gd_run(loss, region, eta=0.0, iters=3)
     with pytest.raises(ValueError):
         projected_sgd_run(loss, region, eta0=0.1, batch=0, iters=3)
+
+
+# ---------------------------------------------------------------------------
+# one gradient and one oracle call per iteration
+
+
+def _count_calls(monkeypatch, owner, names, counts):
+    """Wrap owner.<name> for each name, counting into counts[name]."""
+    for name in names:
+        counts.setdefault(name, 0)
+
+        def wrapped(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+
+@pytest.mark.parametrize("kind", ["fw", "fw-tilted", "gd", "spa", "sgd"])
+def test_call_counts_per_iteration(monkeypatch, kind):
+    base, region, _ = _interior_problem()
+    tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
+    counts = {}
+    _count_calls(monkeypatch, base, ["gradient"], counts)
+    _count_calls(monkeypatch, region, ["lmo", "contains"], counts)
+    iters, init, rng = 12, np.zeros(3), np.random.default_rng(3)
+    runs = {
+        "fw": lambda: fw_run(base, region, PredefinedDecay(), iters, init=init),
+        "fw-tilted": lambda: fw_run(tilted, region, PredefinedDecay(), iters,
+                                    init=init),
+        "gd": lambda: projected_gd_run(base, region, 0.01, iters, init=init),
+        "spa": lambda: spa_run(base, region, iters, init=init, rng=rng),
+        "sgd": lambda: projected_sgd_run(base, region, 0.01, 5, iters, init=init,
+                                         rng=rng),
+    }
+    # Full gradient and lmo calls: the gap makes one of each per iteration,
+    # and FW and GD reuse its gradient (untilted FW its vertex too).
+    expected = {
+        "fw": (iters + 1, iters + 1),
+        "fw-tilted": (iters + 1, 2 * iters),
+        "gd": (iters + 1, iters),
+        "spa": (iters, 2 * iters),
+        "sgd": (iters, iters),
+    }
+    runs[kind]()
+    gradient, lmo = expected[kind]
+    assert counts == {"gradient": gradient, "lmo": lmo, "contains": 2}
+
+
+def test_pa_on_schatten_ball_makes_two_svds_per_iteration(monkeypatch):
+    from projfree import feasible_sets
+
+    observed, _ = gen_lowrank(
+        SyntheticSpec(kind="lowrank", m=6, n=5, seed=47, rank=2, fraction=0.5)
+    )
+    loss = ObservedQuadraticLoss(observed)
+    region = SchattenPBall(p=1.5, r=3.0, m=6, n=5)
+    counts = {}
+    _count_calls(monkeypatch, feasible_sets, ["svd"], counts)
+    _count_calls(monkeypatch, region, ["contains"], counts)
+    iters = 10
+    pa_run(loss, region, option="A", iters=iters, init=np.zeros((6, 5)))
+    # The step's and the gap's oracle calls, plus init and final-point checks.
+    assert counts == {"svd": 2 * iters + 2, "contains": 2}
+
+
+def test_step_ms_includes_the_reused_gradient_and_oracle_call(monkeypatch):
+    from projfree import optimizers
+
+    clock = [0.0]
+    monkeypatch.setattr(optimizers.time, "perf_counter", lambda: clock[0])
+    base, region, _ = _interior_problem()
+    gradient, lmo = base.gradient, region.lmo
+
+    def slow_gradient(w):
+        clock[0] += 0.005
+        return gradient(w)
+
+    def slow_lmo(c):
+        clock[0] += 0.001
+        return lmo(c)
+
+    monkeypatch.setattr(base, "gradient", slow_gradient)
+    monkeypatch.setattr(region, "lmo", slow_lmo)
+    tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
+    for loss in (base, tilted):
+        trace = fw_run(loss, region, PredefinedDecay(), iters=6,
+                       init=np.zeros(3), record_timings=True)
+        assert min(trace.step_ms) >= 6.0 - 1e-9
+        assert min(trace.oracle_ms) >= 1.0 - 1e-9
+    for loss in (base, tilted):
+        trace = projected_gd_run(loss, region, eta=0.01, iters=6,
+                                 init=np.zeros(3), record_timings=True)
+        assert min(trace.step_ms) >= 5.0 - 1e-9
+
+
+def test_observer_arrays_are_not_mutated_after_the_snapshot():
+    loss, region, _ = _interior_problem()
+    runs = {
+        "fw": lambda hook: fw_run(loss, region, PredefinedDecay(), 10,
+                                  on_iterate=hook),
+        "pa": lambda hook: pa_run(loss, region, "A", 10, on_iterate=hook),
+        "spa": lambda hook: spa_run(loss, region, 10, on_iterate=hook),
+        "gd": lambda hook: projected_gd_run(loss, region, 0.01, 10,
+                                            on_iterate=hook),
+        "sgd": lambda hook: projected_sgd_run(loss, region, 0.01, 5, 10,
+                                              on_iterate=hook),
+    }
+    for name, run in runs.items():
+        kept = []
+
+        def hook(snap):
+            arrays = [a for a in (snap.w, snap.p, snap.v, snap.z) if a is not None]
+            kept.extend((a, a.copy()) for a in arrays)
+
+        run(hook)
+        assert kept, name
+        for array, copy in kept:
+            np.testing.assert_array_equal(array, copy, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
