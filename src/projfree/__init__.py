@@ -26,9 +26,8 @@ from .losses import (
     QuadraticLoss,
     SquaredSigmoidLoss,
     TabularDataset,
-    estimate_smoothness,
 )
-from .numerics import SvdResult, dual_exponent, lambda_max_bound, lp_norm, svd
+from .numerics import SvdResult, lambda_max_bound, lp_norm, svd
 from .optimizers import (
     ExactLineSearch,
     IterateSnapshot,
@@ -86,8 +85,6 @@ __all__ = [
     "Trace",
     "default_init",
     "detect_convergence",
-    "dual_exponent",
-    "estimate_smoothness",
     "exact_line_search",
     "fw_gap",
     "fw_run",

@@ -33,7 +33,6 @@ from .losses import (
     QuadraticLoss,
     SquaredSigmoidLoss,
     TabularDataset,
-    estimate_smoothness,
 )
 from .optimizers import (
     ExactLineSearch,
@@ -316,19 +315,14 @@ def _projection_supported(region) -> bool:
     return region.p == 2.0 and (region.q <= 2.0 or math.isinf(region.q))
 
 
-def _resolve_smoothness(sec: dict, objective, region, seed: int) -> float:
+def _resolve_smoothness(sec: dict, objective) -> float:
     val = sec.get("smoothness", "auto")
     if isinstance(val, str):
         if val != "auto":
             raise ConfigError(
                 f"optimizer.smoothness: expected 'auto' or a number, got {val!r}"
             )
-        base = objective.base if hasattr(objective, "base") else objective
-        if isinstance(base, QuadraticLoss):
-            return base.exact_smoothness()
-        return estimate_smoothness(
-            objective, region, rng=np.random.default_rng(seed + 1)
-        )
+        return objective.smoothness()
     return _float_field("optimizer", sec, "smoothness", minimum=0.0, exclusive=True)
 
 
@@ -426,7 +420,7 @@ def run_from_config(cfg: dict, overrides=None):
         elif rule_name == "exact":
             rule = ExactLineSearch()
         else:
-            smoothness = _resolve_smoothness(opt, objective, region, seed)
+            smoothness = _resolve_smoothness(opt, objective)
             if rule_name == "quadratic":
                 rule = QuadraticLineSearch(smoothness=smoothness)
             else:
@@ -456,7 +450,7 @@ def run_from_config(cfg: dict, overrides=None):
                 raise ConfigError(
                     f"optimizer.eta: expected 'auto' or a number, got {eta_val!r}"
                 )
-            smoothness = _resolve_smoothness(opt, objective, region, seed)
+            smoothness = _resolve_smoothness(opt, objective)
             eta = tune_gd_eta(objective, region, smoothness, init)
         else:
             eta = _float_field("optimizer", opt, "eta", minimum=0.0, exclusive=True)

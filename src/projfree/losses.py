@@ -1,8 +1,10 @@
 """Loss functions over tabular and partially observed matrix data.
 
-Every loss exposes evaluate(w), gradient(w), and stochastic_gradient(w, idx),
-where the stochastic form returns (N / |idx|) * sum of per-sample gradients
-so that the full index set reproduces gradient(w) exactly.
+Every loss exposes evaluate(w), gradient(w), stochastic_gradient(w, idx) and
+smoothness().  The stochastic form returns (N / |idx|) * sum of per-sample
+gradients so that the full index set reproduces gradient(w) exactly.
+smoothness() is a proven global bound on the gradient's Lipschitz constant
+in the Euclidean norm, from a closed form for each loss.
 """
 
 import numpy as np
@@ -85,6 +87,10 @@ class Loss:
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         raise NotImplementedError
 
+    def smoothness(self) -> float:
+        """Proven upper bound on the Lipschitz constant of gradient()."""
+        raise NotImplementedError
+
     def _check_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
@@ -105,7 +111,13 @@ class _TabularLoss(Loss):
     With bias=True a constant-1 feature is appended, so the model vector
     carries the intercept as its last coordinate and the constraint set acts
     on the full vector.
+
+    The Hessian is X^T diag(psi''(m_i, y_i)) X, so with _CURVATURE the
+    supremum of |psi''| over margins and targets, smoothness() bounds its
+    spectral norm by _CURVATURE * lambda_max(X^T X).
     """
+
+    _CURVATURE: float
 
     def __init__(self, data: TabularDataset, bias: bool = False):
         self.data = data
@@ -118,10 +130,6 @@ class _TabularLoss(Loss):
         self.n_samples = data.n
         self.shape = (x.shape[1],)
 
-    @property
-    def dim(self) -> int:
-        return self.shape[0]
-
     def _margins(self, w) -> np.ndarray:
         w = as_vector(w)
         if w.shape != self.shape:
@@ -129,31 +137,36 @@ class _TabularLoss(Loss):
         return self._x @ w
 
     # subclasses: per-sample loss values and d(loss)/d(margin)
-    def _values(self, m: np.ndarray) -> np.ndarray:
+    def _values(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _dmargin(self, m: np.ndarray) -> np.ndarray:
+    def _dmargin(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate(self, w) -> float:
-        return float(np.sum(self._values(self._margins(w))))
+        return float(np.sum(self._values(self._margins(w), self._y)))
 
     def gradient(self, w) -> np.ndarray:
-        return self._x.T @ self._dmargin(self._margins(w))
+        return self._x.T @ self._dmargin(self._margins(w), self._y)
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
         xs = self._x[idx]
         m = xs @ as_vector(w)
-        coef = self._dmargin_rows(m, idx)
+        coef = self._dmargin(m, self._y[idx])
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
-    def _dmargin_rows(self, m: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def smoothness(self) -> float:
+        return self._CURVATURE * lambda_max_bound(self._x.T @ self._x)
 
 
 class LogisticLoss(_TabularLoss):
-    """sum_i log(1 + exp(-y_i * x_i.w)) with labels y_i in {-1, +1}."""
+    """sum_i log(1 + exp(-y_i * x_i.w)) with labels y_i in {-1, +1}.
+
+    psi'' = sigmoid(ym) * sigmoid(-ym) lies in (0, 1/4].
+    """
+
+    _CURVATURE = 0.25
 
     def __init__(self, data: TabularDataset, bias: bool = False):
         super().__init__(data, bias)
@@ -163,14 +176,10 @@ class LogisticLoss(_TabularLoss):
                 f"logistic loss needs labels in {{-1, +1}}, got {sorted(labels)}"
             )
 
-    def _values(self, m):
-        return np.logaddexp(0.0, -self._y * m)
+    def _values(self, m, y):
+        return np.logaddexp(0.0, -y * m)
 
-    def _dmargin(self, m):
-        return -self._y * _sigmoid(-self._y * m)
-
-    def _dmargin_rows(self, m, idx):
-        y = self._y[idx]
+    def _dmargin(self, m, y):
         return -y * _sigmoid(-y * m)
 
 
@@ -180,7 +189,13 @@ class QuadraticLoss(_TabularLoss):
     With bias=True the intercept is not part of the model vector: it is
     re-solved in closed form (the residual mean) at every evaluation, so the
     constraint set still acts on the d coefficients alone.
+
+    The Hessian is 2 X^T X, or 2 X^T P X with the centering projection P
+    when the intercept is profiled out; X^T P X <= X^T X, so L = 2 *
+    lambda_max(X^T X) in both cases.
     """
+
+    _CURVATURE = 2.0
 
     def __init__(self, data: TabularDataset, bias: bool = False):
         # Deliberately skip the appended-feature path of the base class.
@@ -213,41 +228,50 @@ class QuadraticLoss(_TabularLoss):
         return (self.n_samples / idx.size) * 2.0 * (self._x[idx].T @ r[idx])
 
     def exact_smoothness(self) -> float:
-        """L = 2 * lambda_max(X^T X), rounded up so it is a true bound."""
-        return 2.0 * lambda_max_bound(self._x.T @ self._x)
+        """Same as smoothness(); perfbench patches and calls this name."""
+        return self.smoothness()
 
 
 class SquaredSigmoidLoss(_TabularLoss):
-    """(1/n) * sum_i (y_i - sigmoid(x_i.w))^2; targets typically in {0, 1}."""
+    """(1/n) * sum_i (y_i - sigmoid(x_i.w))^2; targets typically in {0, 1}.
 
-    def _values(self, m):
-        return (self._y - _sigmoid(m)) ** 2 / self.n_samples
+    With s = sigmoid(m), n psi'' = A(s) - y B(s), where
+    A(s) = 2 s^2 (1 - s)(2 - 3s) and B(s) = 2 s (1 - s)(1 - 2s).  On (0, 1),
+    sup |A| = 0.154059 at s = (15 - sqrt(33)) / 24 and max |B| = 1/(3 sqrt(3))
+    = 0.192450 at s = 1/2 -+ 1/sqrt(12).  The curvature is linear in y, so
+    over y in [0, 1] it peaks at y = 0 (|A|) or y = 1 (|A - B|, which is |A|
+    mirrored to 1 - s); a target at distance e outside [0, 1] adds at most
+    e max |B|.  Hence |psi''| <= (0.1541 + 0.19246 e) / n.
+    """
 
-    def _dmargin(self, m):
+    @property
+    def _CURVATURE(self) -> float:
+        e = max(0.0, -float(self._y.min()), float(self._y.max()) - 1.0)
+        return (0.1541 + 0.19246 * e) / self.n_samples
+
+    def _values(self, m, y):
+        return (y - _sigmoid(m)) ** 2 / self.n_samples
+
+    def _dmargin(self, m, y):
         s = _sigmoid(m)
-        return -2.0 * (self._y - s) * s * (1.0 - s) / self.n_samples
-
-    def _dmargin_rows(self, m, idx):
-        s = _sigmoid(m)
-        return -2.0 * (self._y[idx] - s) * s * (1.0 - s) / self.n_samples
+        return -2.0 * (y - s) * s * (1.0 - s) / self.n_samples
 
 
 class BiWeightLoss(_TabularLoss):
     """Robust regression: sum_i r_i^2 / (1 + r_i^2) with r_i = x_i.w - y_i.
 
     Bounded per-sample loss (< 1), hence non-convex; total is < n everywhere.
+    psi'' = (2 - 6 r^2) / (1 + r^2)^3 lies in [-1/2, 2].
     """
 
-    def _values(self, m):
-        r2 = (m - self._y) ** 2
+    _CURVATURE = 2.0
+
+    def _values(self, m, y):
+        r2 = (m - y) ** 2
         return r2 / (1.0 + r2)
 
-    def _dmargin(self, m):
-        r = m - self._y
-        return 2.0 * r / (1.0 + r * r) ** 2
-
-    def _dmargin_rows(self, m, idx):
-        r = m - self._y[idx]
+    def _dmargin(self, m, y):
+        r = m - y
         return 2.0 * r / (1.0 + r * r) ** 2
 
 
@@ -290,31 +314,11 @@ class ObservedQuadraticLoss(Loss):
         )
         return (self.n_samples / idx.size) * g
 
+    def smoothness(self) -> float:
+        """The Hessian is 2 on observed entries and 0 elsewhere."""
+        return 2.0
 
-def estimate_smoothness(loss, region, trials: int = 32, rng=None) -> float:
-    """Upper bound on the gradient Lipschitz constant over a feasible region.
 
-    Quadratic losses get the exact constant 2 * lambda_max(X^T X), rounded
-    up.  Everything else is probed on random feasible pairs and the
-    largest gradient-difference ratio is inflated by a 1.5x safety factor.
-    """
-    if isinstance(loss, QuadraticLoss):
-        return loss.exact_smoothness()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if trials < 1:
-        raise ValueError("estimate_smoothness needs at least one trial")
-    best = 0.0
-    for _ in range(trials):
-        u = region.random_feasible(rng)
-        v = region.random_feasible(rng)
-        gap = float(np.linalg.norm((u - v).ravel()))
-        if gap < 1e-12:
-            continue
-        du = loss.gradient(u)
-        dv = loss.gradient(v)
-        best = max(best, float(np.linalg.norm((du - dv).ravel())) / gap)
-    if best == 0.0:
-        # Constant-gradient loss; any positive constant is a valid bound.
-        return 1e-12
-    return 1.5 * best
+def estimate_smoothness(loss, region) -> float:
+    """Same as loss.smoothness(); perfbench patches and calls this name."""
+    return loss.smoothness()

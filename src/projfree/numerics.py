@@ -1,4 +1,4 @@
-"""Dense numeric kernels: norms, dual exponents, and LAPACK-backed spectra.
+"""Dense numeric kernels: norms and LAPACK-backed spectra.
 
 Vectors and matrices are plain float64 numpy arrays.  Construction helpers
 reject non-finite entries; downstream code assumes finiteness.
@@ -55,18 +55,6 @@ def lp_norm(x, p: float) -> float:
     if p == 2.0:
         return m * float(np.sqrt(np.sum((a / m) ** 2)))
     return m * float(np.sum((a / m) ** p) ** (1.0 / p))
-
-
-def dual_exponent(p: float) -> float:
-    """Holder conjugate q with 1/p + 1/q = 1, for p in (1, inf].
-
-    p = 1 is rejected: its conjugate is handled specially by the oracles.
-    """
-    if math.isinf(p):
-        return 1.0
-    if not (p > 1.0):
-        raise ValueError(f"dual_exponent requires p > 1 (or inf), got {p}")
-    return p / (p - 1.0)
 
 
 @dataclass

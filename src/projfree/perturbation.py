@@ -63,6 +63,10 @@ class PerturbedLoss(Loss):
         # The tilt is deterministic, so it enters the aggregate exactly.
         return self.base.stochastic_gradient(w, indices) + self.theta * self.xi
 
+    def smoothness(self) -> float:
+        # A linear tilt leaves the Hessian unchanged.
+        return self.base.smoothness()
+
 
 def make_perturbed(
     base: Loss,

@@ -15,7 +15,6 @@ import numpy as np
 from .datasets import SyntheticSpec, gen_classification, gen_regression, standardize
 from .errors import NumericFailure
 from .feasible_sets import LpBall
-from .numerics import lambda_max_bound
 from .losses import (
     BiWeightLoss,
     QuadraticLoss,
@@ -73,7 +72,6 @@ class LsqProblem:
     f_star: float
     w_star: np.ndarray
     smoothness: float
-    unconstrained_norm: float
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,8 +95,7 @@ def lsq_boundary_problem(
     data, _ = standardize(data)
     x, y = data.features, data.targets
     w_free, *_ = np.linalg.lstsq(x, y, rcond=None)
-    free_norm = float(np.linalg.norm(w_free))
-    radius = radius_scale * free_norm
+    radius = radius_scale * float(np.linalg.norm(w_free))
     region = LpBall(p=2.0, r=radius, d=d)
     loss = QuadraticLoss(data)
     f_star, w_star = ridge_path_optimum(x, y, radius)
@@ -108,8 +105,7 @@ def lsq_boundary_problem(
         region=region,
         f_star=f_star,
         w_star=w_star,
-        smoothness=loss.exact_smoothness(),
-        unconstrained_norm=free_norm,
+        smoothness=loss.smoothness(),
     )
 
 
@@ -133,9 +129,9 @@ def biweight_problem(
 ) -> BiweightProblem:
     """Robust (bounded, non-convex) regression on the synthetic tabular set.
 
-    The per-sample curvature of r^2/(1+r^2) lies in [-1/2, 2], so
-    2 * lambda_max(X^T X) bounds the gradient Lipschitz constant globally;
-    sampling-based estimates undershoot it badly near zero residuals.
+    The per-sample curvature of r^2/(1+r^2) lies in [-1/2, 2], so the loss's
+    smoothness(), 2 * lambda_max(X^T X), bounds the gradient Lipschitz
+    constant globally.
     """
     spec = SyntheticSpec(
         kind="regression", n=n, d=d, noise=noise, seed=seed, condition=condition
@@ -144,12 +140,10 @@ def biweight_problem(
     data, _ = standardize(data)
     region = LpBall(p=2.0, r=radius, d=d)
     loss = BiWeightLoss(data)
-    x = data.features
-    smooth = 2.0 * lambda_max_bound(x.T @ x)
     return BiweightProblem(
         loss=loss,
         region=region,
-        smoothness=smooth,
+        smoothness=loss.smoothness(),
         alpha=region.strong_convexity(),
         d=d,
     )

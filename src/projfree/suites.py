@@ -7,7 +7,6 @@ can print measured-vs-required lines.
 """
 
 import concurrent.futures
-import functools
 import math
 import os
 import tempfile
@@ -29,6 +28,7 @@ from .losses import (
     ObservedQuadraticLoss,
     QuadraticLoss,
     SquaredSigmoidLoss,
+    TabularDataset,
 )
 from .optimizers import (
     ExactLineSearch,
@@ -84,14 +84,13 @@ def _min_so_far(values):
 
 
 # ---------------------------------------------------------------------------
-# shared runs on the boundary least-squares instance (cached: deterministic)
+# runs on the boundary least-squares instance
 
 _RUN_ITERS = 2000
 _EPSILON = 1e-4
 _DELTA = 0.1
 
 
-@functools.lru_cache(maxsize=1)
 def _pa_a_perturbed():
     prob = lsq_boundary_problem()
     rng = np.random.default_rng(0)
@@ -103,7 +102,6 @@ def _pa_a_perturbed():
     return trace, time.perf_counter() - start
 
 
-@functools.lru_cache(maxsize=1)
 def _fwplr_plain():
     prob = lsq_boundary_problem()
     return fw_run(
@@ -164,7 +162,6 @@ def check_fw_rate() -> CheckResult:
 # criterion 3: non-convex short-step gap decay and its explicit bound
 
 
-@functools.lru_cache(maxsize=1)
 def _nonconvex_runs():
     prob = biweight_problem()
     rule = ShortStep(smoothness=prob.smoothness, alpha=prob.alpha)
@@ -204,7 +201,6 @@ def check_nonconvex_gap() -> CheckResult:
 # criterion 4: quasi-convex neighborhood convergence
 
 
-@functools.lru_cache(maxsize=1)
 def _quasi_runs():
     prob = margin_classification_problem()
     rule = ExactLineSearch(tol=1e-8)
@@ -530,15 +526,12 @@ def _fd_gradient(loss, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
-@functools.lru_cache(maxsize=1)
 def _fd_losses():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 6))
     y_reg = x @ rng.standard_normal(6) + 0.3 * rng.standard_normal(40)
     y_cls = np.where(rng.standard_normal(40) > 0.0, 1.0, -1.0)
     y_01 = (y_cls + 1.0) / 2.0
-    from .losses import TabularDataset
-
     data_reg = TabularDataset(x, y_reg)
     spec = SyntheticSpec(kind="lowrank", m=6, n=5, rank=2, seed=4, fraction=0.6)
     observed, _ = gen_lowrank(spec)

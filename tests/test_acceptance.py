@@ -2,8 +2,8 @@
 
 Each test runs one registered check end to end and prints its PASS/FAIL
 line (measured vs required) even under captured output, so a verbose run
-shows the twelve verdicts inline.  Shared experiment runs are cached inside
-the suites module, so the whole gate stays within tens of seconds.
+shows the twelve verdicts inline.  Each check builds its own runs; only the
+boundary least-squares problem, which five checks share, is cached.
 """
 
 from projfree.suites import CRITERIA, SUITES

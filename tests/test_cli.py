@@ -233,6 +233,40 @@ def test_run_trace_in_missing_directory_exits_2(runner, tmp_path, monkeypatch):
     assert calls == []  # refused before the run, not after it
 
 
+def test_run_auto_smoothness_bounds_biweight_hessian(monkeypatch):
+    # The biweight gate instance: the auto L must bound the curvature at
+    # feasible points, not just sampled gradient-difference ratios.
+    seen = {}
+    real_fw_run = cli.fw_run
+
+    def fw_run(objective, region, rule, *args, **kwargs):
+        seen.update(loss=objective, region=region, smoothness=rule.smoothness)
+        return real_fw_run(objective, region, rule, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fw_run", fw_run)
+    cfg = _base_config(
+        dataset={"kind": "synthetic-regression", "n": 2000, "d": 20,
+                 "noise": 0.1, "seed": 42, "standardize": True},
+        loss={"kind": "biweight"},
+        optimizer={"kind": "fw", "step_rule": "quadratic", "iters": 1},
+    )
+    cli.run_from_config(cfg)
+    loss, region = seen["loss"], seen["region"]
+    rng = np.random.default_rng(0)
+    h = 1e-5
+    for _ in range(20):
+        w = region.random_feasible(rng)
+        cols = []
+        for j in range(w.size):
+            up, dn = w.copy(), w.copy()
+            up[j] += h
+            dn[j] -= h
+            cols.append((loss.gradient(up) - loss.gradient(dn)) / (2.0 * h))
+        hess = np.array(cols)
+        top = float(np.abs(np.linalg.eigvalsh(0.5 * (hess + hess.T))).max())
+        assert seen["smoothness"] >= top
+
+
 @pytest.mark.parametrize("margin", [1.0, 1.5])
 def test_run_classification_margin_out_of_range_exits_2(runner, tmp_path, margin):
     cfg = _base_config(

@@ -36,7 +36,7 @@ for m, n in ((12, 10), (100, 80)):
                    rng=np.random.default_rng(2))
     write_trace(trace, f"{out}/pa-{m}x{n}.csv")
 data, _ = gen_regression(SyntheticSpec(kind="regression", n=2000, d=1000, seed=3))
-print(repr(QuadraticLoss(data).exact_smoothness()))
+print(repr(QuadraticLoss(data).smoothness()))
 """
 
 
@@ -65,4 +65,4 @@ def test_exact_smoothness_bounds_lapack_eigenvalue():
     data, _ = gen_regression(SyntheticSpec(kind="regression", n=2000, d=1000, seed=3))
     x = data.features
     lam = float(np.linalg.eigvalsh(x.T @ x)[-1])
-    assert QuadraticLoss(data).exact_smoothness() >= 2.0 * lam
+    assert QuadraticLoss(data).smoothness() >= 2.0 * lam

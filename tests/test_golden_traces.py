@@ -65,7 +65,7 @@ def _rng(seed=0):
 def _rule(name, loss, region):
     if name == "predefined":
         return PredefinedDecay()
-    smoothness = loss.exact_smoothness()
+    smoothness = loss.smoothness()
     if name == "quadratic":
         return QuadraticLineSearch(smoothness)
     if name == "exact":

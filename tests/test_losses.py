@@ -8,7 +8,8 @@ unbiasedness.
 import numpy as np
 import pytest
 
-from projfree.feasible_sets import LpBall
+from projfree import losses
+from projfree.feasible_sets import LpBall, SchattenPBall
 from projfree.losses import (
     BiWeightLoss,
     LogisticLoss,
@@ -17,8 +18,8 @@ from projfree.losses import (
     QuadraticLoss,
     SquaredSigmoidLoss,
     TabularDataset,
-    estimate_smoothness,
 )
+from projfree.perturbation import make_perturbed
 
 
 def _fd_gradient(loss, w, h=1e-5):
@@ -245,15 +246,109 @@ def test_observed_matrix_validation():
 # smoothness
 
 
+def _fd_hessian(loss, w, h=1e-5):
+    """Central-difference Hessian of a loss of any shape, as a square matrix."""
+    cols = []
+    for idx in np.ndindex(*w.shape):
+        up = w.copy()
+        dn = w.copy()
+        up[idx] += h
+        dn[idx] -= h
+        cols.append(((loss.gradient(up) - loss.gradient(dn)) / (2.0 * h)).ravel())
+    hess = np.array(cols).T
+    return 0.5 * (hess + hess.T)
+
+
+def _smoothness_cases():
+    """(id, loss, region) for every loss kind; small radii keep the
+    logistic and sigmoid points near w = 0, where their curvature peaks."""
+    def ball(d, r=0.5):
+        return LpBall(p=2.0, r=r, d=d)
+
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((15, 3))
+    wide = TabularDataset(x, rng.uniform(-0.5, 1.5, size=15))
+    cases = []
+    for bias in (False, True):
+        k = 4 if bias else 3  # the appended intercept coordinate
+        logistic = LogisticLoss(_toy_tabular(15, 3, 32, labels="pm1"), bias)
+        cases += [
+            (f"quadratic-bias{bias}",
+             QuadraticLoss(_toy_tabular(15, 3, 31), bias), ball(3, 3.0)),
+            (f"logistic-bias{bias}", logistic, ball(k, 0.1)),
+            (f"biweight-bias{bias}",
+             BiWeightLoss(_toy_tabular(15, 3, 33), bias), ball(k, 2.0)),
+        ]
+    sig = SquaredSigmoidLoss(_toy_tabular(15, 3, 34, labels="01"))
+    cases += [
+        ("sigmoid-01", sig, ball(3, 3.0)),
+        ("sigmoid-wide", SquaredSigmoidLoss(wide), ball(3, 3.0)),
+        ("observed-quadratic", ObservedQuadraticLoss(_toy_observed(35)),
+         SchattenPBall(1.5, 2.0, 4, 3)),
+        ("tilted-sigmoid",
+         make_perturbed(sig, 0.1, 6.0, 0.1, np.random.default_rng(36)), ball(3, 3.0)),
+    ]
+    return cases
+
+
+_SMOOTHNESS_CASES = _smoothness_cases()
+
+
+@pytest.mark.parametrize(
+    "loss, region", [c[1:] for c in _SMOOTHNESS_CASES],
+    ids=[c[0] for c in _SMOOTHNESS_CASES],
+)
+def test_smoothness_bounds_gradient_ratios_and_hessian(loss, region):
+    bound = loss.smoothness()
+    rng = np.random.default_rng(37)
+    ratio = 0.0
+    for _ in range(200):
+        u = region.random_feasible(rng)
+        v = region.random_feasible(rng)
+        du = loss.gradient(u) - loss.gradient(v)
+        ratio = max(ratio, float(np.linalg.norm(du) / np.linalg.norm(u - v)))
+    assert 0.0 < ratio <= bound
+    spectral = max(
+        np.abs(np.linalg.eigvalsh(_fd_hessian(loss, region.random_feasible(rng)))).max()
+        for _ in range(20)
+    )
+    assert spectral <= bound * (1.0 + 1e-6)
+
+
+def test_squared_sigmoid_curvature_constants():
+    # sup over s of |A(s) - y B(s)| for targets y at distance e outside [0, 1].
+    s = np.linspace(0.0, 1.0, 200_001)
+    a = 2.0 * s**2 * (1.0 - s) * (2.0 - 3.0 * s)
+    b = 2.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+    assert np.abs(a).max() == pytest.approx(0.154059, abs=1e-6)
+    assert np.abs(b).max() == pytest.approx(1.0 / (3.0 * np.sqrt(3.0)), rel=1e-9)
+    for e in (0.0, 0.5, 3.0):
+        peak = max(np.abs(a - y * b).max() for y in (-e, 0.0, 1.0, 1.0 + e))
+        assert peak <= 0.1541 + 0.19246 * e
+    # The curvature bound reads e off the targets.
+    x = np.ones((4, 1))
+    assert SquaredSigmoidLoss(TabularDataset(x, [0, 1, 0, 1])).smoothness() == (
+        pytest.approx(0.1541, rel=1e-7)
+    )
+    loss = SquaredSigmoidLoss(TabularDataset(x, [-0.5, 1.25, 0, 1]))
+    assert loss.smoothness() == pytest.approx(0.1541 + 0.5 * 0.19246, rel=1e-7)
+
+
+def test_smoothness_delegates_keep_their_names():
+    loss = QuadraticLoss(_toy_tabular(15, 3, 38))
+    region = LpBall(p=2.0, r=1.0, d=3)
+    assert loss.exact_smoothness() == loss.smoothness()
+    assert losses.estimate_smoothness(loss, region) == loss.smoothness()
+
+
 def test_exact_smoothness_identity_features():
     loss = QuadraticLoss(TabularDataset(np.eye(3), np.zeros(3)))
-    region = LpBall(p=2.0, r=1.0, d=3)
-    assert estimate_smoothness(loss, region) == pytest.approx(2.0, rel=1e-7)
+    assert loss.smoothness() == pytest.approx(2.0, rel=1e-7)
 
 
 def test_exact_smoothness_diagonal_features():
     loss = QuadraticLoss(TabularDataset(np.diag([1.0, 2.0]), np.zeros(2)))
-    assert loss.exact_smoothness() == pytest.approx(8.0, rel=1e-7)
+    assert loss.smoothness() == pytest.approx(8.0, rel=1e-7)
 
 
 def test_exact_smoothness_matches_eigensolver():
@@ -261,31 +356,15 @@ def test_exact_smoothness_matches_eigensolver():
     loss = QuadraticLoss(data)
     x = data.features
     ref = 2.0 * float(np.linalg.eigvalsh(x.T @ x)[-1])
-    assert loss.exact_smoothness() == pytest.approx(ref, rel=1e-6)
+    assert loss.smoothness() == pytest.approx(ref, rel=1e-6)
 
 
 def test_estimated_smoothness_dominates_hessian_probes():
     data = _toy_tabular(8, 2, 5, labels="01")
     loss = SquaredSigmoidLoss(data)
     region = LpBall(p=2.0, r=1.0, d=2)
-    est = estimate_smoothness(loss, region, trials=64, rng=np.random.default_rng(0))
+    bound = loss.smoothness()
     rng = np.random.default_rng(1)
-    h = 1e-5
     for _ in range(20):
-        w = region.random_feasible(rng)
-        hess = np.zeros((2, 2))
-        for j in range(2):
-            up = w.copy()
-            dn = w.copy()
-            up[j] += h
-            dn[j] -= h
-            hess[:, j] = (loss.gradient(up) - loss.gradient(dn)) / (2.0 * h)
-        spectral = float(np.abs(np.linalg.eigvalsh(0.5 * (hess + hess.T))).max())
-        assert est >= spectral * (1.0 - 1e-6)
-
-
-def test_estimate_smoothness_validation():
-    loss = BiWeightLoss(_toy_tabular(10, 2, 25))
-    region = LpBall(p=2.0, r=1.0, d=2)
-    with pytest.raises(ValueError):
-        estimate_smoothness(loss, region, trials=0)
+        hess = _fd_hessian(loss, region.random_feasible(rng))
+        assert bound >= float(np.abs(np.linalg.eigvalsh(hess)).max()) * (1.0 - 1e-6)

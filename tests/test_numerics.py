@@ -1,4 +1,4 @@
-"""Scalar and matrix primitives: norms, dual exponents, SVD, lambda_max.
+"""Scalar and matrix primitives: norms, SVD, lambda_max.
 
 Reference values were frozen from a 40-digit multi-precision evaluation of
 the defining formulas; the SVD checks test the factorization's defining
@@ -11,7 +11,6 @@ import pytest
 from projfree.numerics import (
     as_matrix,
     as_vector,
-    dual_exponent,
     lambda_max_bound,
     lp_norm,
     svd,
@@ -68,36 +67,6 @@ def test_lp_norm_rescales_to_avoid_overflow():
     # Naive sum of cubes would overflow; the max-rescaled form must not.
     x = np.array([1e300, 1e300])
     assert lp_norm(x, 3.0) == pytest.approx(1e300 * 2.0 ** (1.0 / 3.0), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# dual_exponent
-
-
-def test_dual_exponent_table():
-    assert dual_exponent(1.5) == pytest.approx(3.0, rel=1e-13)
-    assert dual_exponent(1.2) == pytest.approx(6.0, rel=1e-13)
-    assert dual_exponent(3.0) == pytest.approx(1.5, rel=1e-13)
-    assert dual_exponent(2.0) == pytest.approx(2.0, rel=1e-13)
-    assert dual_exponent(np.inf) == 1.0
-
-
-def test_dual_exponent_rejects_p_equal_one():
-    # The l_1 conjugate is infinite and is special-cased by the oracles.
-    with pytest.raises(ValueError):
-        dual_exponent(1.0)
-
-
-def test_dual_exponent_conjugacy():
-    for p in (1.1, 1.5, 1.9, 2.0, 2.5, 7.0):
-        q = dual_exponent(p)
-        assert 1.0 / p + 1.0 / q == pytest.approx(1.0, abs=1e-12)
-        assert dual_exponent(q) == pytest.approx(p, rel=1e-12)
-
-
-def test_dual_exponent_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        dual_exponent(0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_fw_linear_objective_one_step():
 
 def test_fw_predefined_satisfies_rate_bound():
     loss, region, _ = _interior_problem()
-    smooth = loss.exact_smoothness()
+    smooth = loss.smoothness()
     diam = region.euclidean_diameter()
     trace = fw_run(
         loss, region, PredefinedDecay(), iters=1000, rng=np.random.default_rng(1)
@@ -147,7 +147,7 @@ def test_fw_line_search_monotone():
 
 def test_fw_quadratic_rule_monotone_with_exact_smoothness():
     loss, region, _ = _interior_problem()
-    rule = QuadraticLineSearch(smoothness=loss.exact_smoothness())
+    rule = QuadraticLineSearch(smoothness=loss.smoothness())
     trace = fw_run(loss, region, rule, iters=120, rng=np.random.default_rng(4))
     diffs = np.diff(np.asarray(trace.loss_f))
     assert np.all(diffs <= 1e-10)
@@ -376,7 +376,7 @@ def test_gd_one_step_exact():
 
 def test_gd_monotone_for_small_eta():
     loss, region, _ = _interior_problem()
-    eta = 0.9 / loss.exact_smoothness()
+    eta = 0.9 / loss.smoothness()
     trace = projected_gd_run(
         loss, region, eta=eta, iters=150, rng=np.random.default_rng(17)
     )
