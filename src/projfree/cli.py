@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 failed checks, 2 configuration or usage errors,
 """
 
 import math
+import operator
 import os
 import sys
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -51,116 +53,146 @@ from .problems import tune_gd_eta
 from .suites import SUITES, run_suite
 from .trace import read_trace, write_trace
 
-_MISSING = object()
+# ---------------------------------------------------------------------------
+# config schema: one table of fields per section, read by `_read`
+
+_REQUIRED = object()
 
 
-def _require_mapping(obj, name: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name}: expected a mapping of fields")
-    return obj
+@dataclass(frozen=True)
+class _Field:
+    """One config field: its type (str, bool, int, float, or a section's
+    own table), its default (none: required), and the bounds (ge >=, gt >,
+    le <=, lt <) and choices every given value must meet.  A float field
+    admits inf only with `inf` and the string "auto" only with `auto`.  The
+    choices of a `kind` field may map each kind to the fields it adds."""
+
+    type: object
+    default: object = _REQUIRED
+    ge: float = None
+    gt: float = None
+    le: float = None
+    lt: float = None
+    choices: object = None
+    inf: bool = False
+    auto: bool = False
 
 
-def _reject_unknown(section: str, sec: dict, allowed) -> None:
-    unknown = sorted(set(sec) - set(allowed))
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt),
+           ("le", "<=", operator.le), ("lt", "<", operator.lt))
+_EXPECTED = {str: "a string", bool: "true/false", int: "an integer"}
+
+
+def _number(val):
+    """val as a float, or None; numeric strings count, since PyYAML reads
+    "1e-4" as a string."""
+    if isinstance(val, str) and val.strip().lower() == ".inf":
+        return math.inf
+    try:
+        return None if isinstance(val, bool) else float(val)
+    except (TypeError, ValueError):
+        return None
+
+
+def _value(section: str, key: str, mapping: dict, field: _Field):
+    """The checked value of mapping[key], or the field's default."""
+    if isinstance(field.type, dict):
+        if key not in mapping and field.default is _REQUIRED:
+            raise ConfigError(f"{section}: missing required section '{key}'")
+        return _read(key, mapping.get(key), field.type)
+    where = f"{section}.{key}"
+    if key not in mapping:
+        if field.default is _REQUIRED:
+            raise ConfigError(f"{where}: required field is missing")
+        return field.default
+    val = mapping[key]
+    if field.auto and val == "auto":
+        return val
+    if field.type is float:
+        num = _number(val)
+        if num is None:
+            auto = "'auto' or " if field.auto else ""
+            raise ConfigError(f"{where}: expected {auto}a number, got {val!r}")
+        if math.isnan(num):
+            raise ConfigError(f"{where}: must not be NaN")
+        if math.isinf(num) and not field.inf:
+            raise ConfigError(f"{where}: must be finite, got {val!r}")
+        val = num
+    elif type(val) is not field.type:
+        raise ConfigError(f"{where}: expected {_EXPECTED[field.type]}, got {val!r}")
+    if field.choices is not None and val not in field.choices:
+        raise ConfigError(
+            f"{where}: expected one of {sorted(field.choices)}, got {val!r}"
+        )
+    for bound, symbol, holds in _BOUNDS:
+        limit = getattr(field, bound)
+        if limit is not None and not holds(val, limit):
+            raise ConfigError(f"{where}: must be {symbol} {limit}, got {val}")
+    return val
+
+
+def _read(section: str, mapping, fields: dict) -> dict:
+    """Check one config section against its table of fields.
+
+    Rejects fields the table (with the chosen kind's fields) does not list,
+    checks every field that is present and returns every field of the table,
+    defaults filled in.
+    """
+    if mapping is None:
+        mapping = {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section}: expected a mapping of fields")
+    kind = fields.get("kind")
+    if kind is not None and isinstance(kind.choices, dict):
+        fields = {**fields, **kind.choices[_value(section, "kind", mapping, kind)]}
+    unknown = sorted(set(mapping) - set(fields), key=str)
     if unknown:
         raise ConfigError(
             f"{section}: unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
+            f"allowed: {', '.join(sorted(fields))}"
         )
+    return {key: _value(section, key, mapping, field)
+            for key, field in fields.items()}
 
 
-def _str_field(section, sec, key, choices=None, default=_MISSING) -> str:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"{section}.{key}: required field is missing")
-        return default
-    val = sec[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"{section}.{key}: expected a string, got {val!r}")
-    if choices is not None and val not in choices:
-        raise ConfigError(
-            f"{section}.{key}: expected one of {sorted(choices)}, got {val!r}"
-        )
-    return val
+_SEED = _Field(int, 0, ge=0)
+_STANDARDIZE = _Field(bool, False)
+_SMOOTHNESS = _Field(float, "auto", gt=0.0, auto=True)
 
-
-def _bool_field(section, sec, key, default=_MISSING) -> bool:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"{section}.{key}: required field is missing")
-        return default
-    val = sec[key]
-    if not isinstance(val, bool):
-        raise ConfigError(f"{section}.{key}: expected true/false, got {val!r}")
-    return val
-
-
-def _int_field(section, sec, key, default=_MISSING, minimum=None) -> int:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"{section}.{key}: required field is missing")
-        return default
-    val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{section}.{key}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{section}.{key}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _float_field(
-    section, sec, key, default=_MISSING, minimum=None, exclusive=False,
-    maximum=None, allow_inf=False,
-) -> float:
-    if key not in sec:
-        if default is _MISSING:
-            raise ConfigError(f"{section}.{key}: required field is missing")
-        return default
-    val = sec[key]
-    if isinstance(val, bool):
-        raise ConfigError(f"{section}.{key}: expected a number, got {val!r}")
-    if isinstance(val, str):
-        # PyYAML reads "1e-4" as a string; accept numeric strings and "inf".
-        s = val.strip().lower()
-        if s in ("inf", "infinity", ".inf"):
-            num = math.inf
-        else:
-            try:
-                num = float(s)
-            except ValueError:
-                raise ConfigError(
-                    f"{section}.{key}: expected a number, got {val!r}"
-                ) from None
-    elif isinstance(val, (int, float)):
-        num = float(val)
-    else:
-        raise ConfigError(f"{section}.{key}: expected a number, got {val!r}")
-    if math.isnan(num):
-        raise ConfigError(f"{section}.{key}: must not be NaN")
-    if math.isinf(num) and not allow_inf:
-        raise ConfigError(f"{section}.{key}: must be finite, got {val!r}")
-    if minimum is not None:
-        if exclusive and not num > minimum:
-            raise ConfigError(f"{section}.{key}: must be > {minimum}, got {num}")
-        if not exclusive and not num >= minimum:
-            raise ConfigError(f"{section}.{key}: must be >= {minimum}, got {num}")
-    if maximum is not None and num > maximum:
-        raise ConfigError(f"{section}.{key}: must be <= {maximum}, got {num}")
-    return num
-
-
-# ---------------------------------------------------------------------------
-# config -> objects
-
-_DATASET_KINDS = {
-    "synthetic-regression",
-    "synthetic-classification",
-    "synthetic-lowrank",
-    "csv",
-    "libsvm",
-    "ratings",
+_DATASET = {
+    "kind": _Field(str, choices={
+        "synthetic-regression": {
+            "n": _Field(int, 500, ge=1),
+            "d": _Field(int, 20, ge=1),
+            "noise": _Field(float, 0.1, ge=0.0),
+            "seed": _SEED,
+            "condition": _Field(float, 1.0, ge=1.0),
+            "w_norm": _Field(float, 1.0, gt=0.0),
+            "standardize": _STANDARDIZE,
+        },
+        "synthetic-classification": {
+            "n": _Field(int, 500, ge=1),
+            "d": _Field(int, 10, ge=1),
+            "margin": _Field(float, 0.3, ge=0.0, lt=1),
+            "seed": _SEED,
+        },
+        "synthetic-lowrank": {
+            "m": _Field(int, 30, ge=1),
+            "n": _Field(int, 30, ge=1),
+            "rank": _Field(int, 3, ge=1),
+            "fraction": _Field(float, 0.3, gt=0.0, le=1.0),
+            "noise": _Field(float, 0.0, ge=0.0),
+            "seed": _SEED,
+        },
+        "csv": {
+            "path": _Field(str),
+            "target_column": _Field(int),
+            "has_header": _Field(bool, False),
+            "standardize": _STANDARDIZE,
+        },
+        "libsvm": {"path": _Field(str), "standardize": _STANDARDIZE},
+        "ratings": {"path": _Field(str)},
+    }),
 }
 _TABULAR_LOSSES = {
     "quadratic": QuadraticLoss,
@@ -168,6 +200,65 @@ _TABULAR_LOSSES = {
     "squared-sigmoid": SquaredSigmoidLoss,
     "biweight": BiWeightLoss,
 }
+_LOSS = {
+    "kind": _Field(str, choices=(*_TABULAR_LOSSES, "observed-quadratic")),
+    "bias": _Field(bool, False),
+}
+_SET = {
+    "kind": _Field(str, choices={
+        "lp": {}, "schatten": {}, "group": {"q": _Field(float, ge=1.0, inf=True)},
+    }),
+    "p": _Field(float, 2.0, ge=1.0, inf=True),
+    "r": _Field(float, 1.0, gt=0.0),
+}
+_OPTIMIZER = {
+    "kind": _Field(str, choices={
+        "fw": {
+            "step_rule": _Field(str, "predefined", choices=(
+                "predefined", "quadratic", "exact", "short")),
+            "smoothness": _SMOOTHNESS,
+        },
+        "pa": {"option": _Field(str, "A", choices=("A", "B"))},
+        "spa": {},
+        "gd": {"eta": _Field(float, "auto", gt=0.0, auto=True),
+               "smoothness": _SMOOTHNESS},
+        "sgd": {
+            "eta0": _Field(float, gt=0.0),
+            "batch": _Field(int, 32, ge=1),
+            "sqrt_decay": _Field(bool, True),
+        },
+    }),
+    "iters": _Field(int, 500, ge=1),
+    "seed": _SEED,
+}
+_CONFIG = {
+    "dataset": _Field(_DATASET),
+    "loss": _Field(_LOSS),
+    "set": _Field(_SET),
+    "optimizer": _Field(_OPTIMIZER),
+    "perturbation": _Field({
+        "enabled": _Field(bool, False),
+        "epsilon": _Field(float, 1e-4, gt=0.0),
+        "delta": _Field(float, 0.1, gt=0.0, lt=1.0),
+    }, None),
+    "output": _Field({
+        "trace": _Field(str, None),
+        "timings": _Field(bool, False),
+    }, None),
+    "analysis": _Field({
+        "f_star": _Field(float, None),
+        "burn_in": _Field(int, 10, ge=0),
+        "rel_tol": _Field(float, 0.02, gt=0.0),
+    }, None),
+}
+
+
+# ---------------------------------------------------------------------------
+# checked config -> objects
+
+_GENERATORS = {"synthetic-regression": gen_regression,
+               "synthetic-classification": gen_classification,
+               "synthetic-lowrank": gen_lowrank}
 
 
 def _load(loader, *args, **kwargs):
@@ -180,86 +271,26 @@ def _load(loader, *args, **kwargs):
 
 def _build_dataset(sec: dict):
     """Returns (data, is_matrix)."""
-    sec = _require_mapping(sec, "dataset")
-    kind = _str_field("dataset", sec, "kind", choices=_DATASET_KINDS)
-    std = False
-    if kind == "synthetic-regression":
-        _reject_unknown(
-            "dataset", sec,
-            {"kind", "n", "d", "noise", "seed", "condition", "w_norm", "standardize"},
-        )
-        spec = SyntheticSpec(
-            kind="regression",
-            n=_int_field("dataset", sec, "n", 500, minimum=1),
-            d=_int_field("dataset", sec, "d", 20, minimum=1),
-            noise=_float_field("dataset", sec, "noise", 0.1, minimum=0.0),
-            seed=_int_field("dataset", sec, "seed", 0),
-            condition=_float_field("dataset", sec, "condition", 1.0, minimum=1.0),
-            w_norm=_float_field("dataset", sec, "w_norm", 1.0, minimum=0.0,
-                                exclusive=True),
-        )
-        data, _ = gen_regression(spec)
-        std = _bool_field("dataset", sec, "standardize", False)
-    elif kind == "synthetic-classification":
-        _reject_unknown("dataset", sec, {"kind", "n", "d", "margin", "seed"})
-        margin = _float_field("dataset", sec, "margin", 0.3, minimum=0.0)
-        if not margin < 1.0:
-            raise ConfigError(f"dataset.margin: must be < 1, got {margin}")
-        spec = SyntheticSpec(
-            kind="classification",
-            n=_int_field("dataset", sec, "n", 500, minimum=1),
-            d=_int_field("dataset", sec, "d", 10, minimum=1),
-            margin=margin,
-            seed=_int_field("dataset", sec, "seed", 0),
-        )
-        data, _ = gen_classification(spec)
-    elif kind == "synthetic-lowrank":
-        _reject_unknown(
-            "dataset", sec, {"kind", "m", "n", "rank", "fraction", "noise", "seed"}
-        )
-        spec = SyntheticSpec(
-            kind="lowrank",
-            m=_int_field("dataset", sec, "m", 30, minimum=1),
-            n=_int_field("dataset", sec, "n", 30, minimum=1),
-            rank=_int_field("dataset", sec, "rank", 3, minimum=1),
-            fraction=_float_field("dataset", sec, "fraction", 0.3, minimum=0.0,
-                                  exclusive=True, maximum=1.0),
-            noise=_float_field("dataset", sec, "noise", 0.0, minimum=0.0),
-            seed=_int_field("dataset", sec, "seed", 0),
-        )
-        data, _ = gen_lowrank(spec)
-        return data, True
+    sec = dict(sec)
+    kind = sec.pop("kind")
+    std = sec.pop("standardize", False)
+    if kind in _GENERATORS:
+        spec = SyntheticSpec(kind=kind.removeprefix("synthetic-"), **sec)
+        data, _ = _GENERATORS[kind](spec)
     elif kind == "csv":
-        _reject_unknown(
-            "dataset", sec,
-            {"kind", "path", "target_column", "has_header", "standardize"},
-        )
-        data = _load(
-            load_delimited,
-            _str_field("dataset", sec, "path"),
-            _int_field("dataset", sec, "target_column"),
-            has_header=_bool_field("dataset", sec, "has_header", False),
-        )
-        std = _bool_field("dataset", sec, "standardize", False)
+        data = _load(load_delimited, sec["path"], sec["target_column"],
+                     has_header=sec["has_header"])
     elif kind == "libsvm":
-        _reject_unknown("dataset", sec, {"kind", "path", "standardize"})
-        data = _load(load_libsvm, _str_field("dataset", sec, "path"))
-        std = _bool_field("dataset", sec, "standardize", False)
-    else:  # ratings
-        _reject_unknown("dataset", sec, {"kind", "path"})
-        return _load(load_ratings, _str_field("dataset", sec, "path")), True
+        data = _load(load_libsvm, sec["path"])
+    else:
+        data = _load(load_ratings, sec["path"])
     if std:
-        data, _ = standardize(data)
-    return data, False
+        data = standardize(data)
+    return data, kind in ("synthetic-lowrank", "ratings")
 
 
 def _build_loss(sec: dict, data, is_matrix: bool):
-    sec = _require_mapping(sec, "loss")
-    kind = _str_field(
-        "loss", sec, "kind", choices=set(_TABULAR_LOSSES) | {"observed-quadratic"}
-    )
-    _reject_unknown("loss", sec, {"kind", "bias"})
-    bias = _bool_field("loss", sec, "bias", False)
+    kind, bias = sec["kind"], sec["bias"]
     if kind == "observed-quadratic":
         if bias:
             raise ConfigError("loss.bias: not supported for observed-quadratic")
@@ -285,12 +316,8 @@ def _build_loss(sec: dict, data, is_matrix: bool):
 
 
 def _build_region(sec: dict, model_shape: tuple):
-    sec = _require_mapping(sec, "set")
-    kind = _str_field("set", sec, "kind", choices={"lp", "schatten", "group"})
-    r = _float_field("set", sec, "r", 1.0, minimum=0.0, exclusive=True)
-    p = _float_field("set", sec, "p", 2.0, minimum=1.0, allow_inf=True)
+    kind, p, r = sec["kind"], sec["p"], sec["r"]
     if kind == "lp":
-        _reject_unknown("set", sec, {"kind", "p", "r"})
         if len(model_shape) != 1:
             raise ConfigError(
                 f"set.kind: lp needs a vector model, got shape {model_shape}"
@@ -302,11 +329,8 @@ def _build_region(sec: dict, model_shape: tuple):
         )
     m, n = model_shape
     if kind == "schatten":
-        _reject_unknown("set", sec, {"kind", "p", "r"})
         return SchattenPBall(p=p, r=r, m=m, n=n)
-    _reject_unknown("set", sec, {"kind", "p", "q", "r"})
-    q = _float_field("set", sec, "q", _MISSING, minimum=1.0, allow_inf=True)
-    return GroupLpqBall(p=p, q=q, r=r, m=m, n=n)
+    return GroupLpqBall(p=p, q=sec["q"], r=r, m=m, n=n)
 
 
 def _projection_supported(region) -> bool:
@@ -315,93 +339,43 @@ def _projection_supported(region) -> bool:
     return region.p == 2.0 and (region.q <= 2.0 or math.isinf(region.q))
 
 
-def _resolve_smoothness(sec: dict, objective) -> float:
-    val = sec.get("smoothness", "auto")
-    if isinstance(val, str):
-        if val != "auto":
-            raise ConfigError(
-                f"optimizer.smoothness: expected 'auto' or a number, got {val!r}"
-            )
-        return objective.smoothness()
-    return _float_field("optimizer", sec, "smoothness", minimum=0.0, exclusive=True)
-
-
-_OPT_KEYS = {
-    "fw": {"kind", "iters", "seed", "step_rule", "smoothness"},
-    "pa": {"kind", "iters", "seed", "option"},
-    "spa": {"kind", "iters", "seed"},
-    "gd": {"kind", "iters", "seed", "eta", "smoothness"},
-    "sgd": {"kind", "iters", "seed", "eta0", "batch", "sqrt_decay"},
-}
-
-
 def run_from_config(cfg: dict, overrides=None):
     """Build everything from a parsed config and run; returns (trace, info).
 
-    info carries the pieces the summary printer needs: the region, whether
-    the objective was perturbed, and the analysis settings.
+    The whole config is checked before anything is built.  overrides may
+    replace optimizer.iters ("iters"), optimizer.seed ("seed") and
+    output.trace ("out"), and turn on output.timings ("timings").  info
+    carries the pieces the summary printer needs: the region, whether the
+    objective was perturbed, and the analysis settings.
     """
-    cfg = _require_mapping(cfg, "config")
-    _reject_unknown(
-        "config", cfg,
-        {"dataset", "loss", "set", "optimizer", "perturbation", "output", "analysis"},
-    )
-    for section in ("dataset", "loss", "set", "optimizer"):
-        if section not in cfg:
-            raise ConfigError(f"config: missing required section '{section}'")
-    overrides = overrides or {}
+    cfg = _read("config", cfg, _CONFIG)
+    opt, pert, out = cfg["optimizer"], cfg["perturbation"], cfg["output"]
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    iters = overrides.get("iters", opt["iters"])
+    trace_path = overrides.get("out", out["trace"])
+    if trace_path is not None:
+        folder = os.path.dirname(os.path.abspath(trace_path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"could not write trace: no writable directory {folder}")
+    timings = bool(overrides.get("timings")) or out["timings"]
 
     data, is_matrix = _build_dataset(cfg["dataset"])
     loss = _build_loss(cfg["loss"], data, is_matrix)
     region = _build_region(cfg["set"], loss.shape)
 
-    opt = _require_mapping(cfg["optimizer"], "optimizer")
-    kind = _str_field("optimizer", opt, "kind", choices=set(_OPT_KEYS))
-    _reject_unknown("optimizer", opt, _OPT_KEYS[kind])
-    iters = overrides.get("iters")
-    if iters is None:
-        iters = _int_field("optimizer", opt, "iters", 500, minimum=1)
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _int_field("optimizer", opt, "seed", 0)
-
-    pert = _require_mapping(cfg.get("perturbation"), "perturbation")
-    _reject_unknown("perturbation", pert, {"enabled", "epsilon", "delta"})
-    perturbed = _bool_field("perturbation", pert, "enabled", False)
-
-    out = _require_mapping(cfg.get("output"), "output")
-    _reject_unknown("output", out, {"trace", "timings"})
-    trace_path = overrides.get("out")
-    if trace_path is None:
-        trace_path = _str_field("output", out, "trace", default=None)
-    if trace_path is not None:
-        folder = os.path.dirname(os.path.abspath(trace_path))
-        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            raise ConfigError(f"could not write trace: no writable directory {folder}")
-    timings = bool(overrides.get("timings")) or _bool_field(
-        "output", out, "timings", False
-    )
-
-    ana = _require_mapping(cfg.get("analysis"), "analysis")
-    _reject_unknown("analysis", ana, {"f_star", "burn_in", "rel_tol"})
-    f_star = _float_field("analysis", ana, "f_star", None)
-    burn_in = _int_field("analysis", ana, "burn_in", 10, minimum=0)
-    rel_tol = _float_field("analysis", ana, "rel_tol", 0.02, minimum=0.0,
-                           exclusive=True)
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(overrides.get("seed", opt["seed"]))
     objective = loss
-    if perturbed:
+    if pert["enabled"]:
         objective = make_perturbed(
-            loss,
-            _float_field("perturbation", pert, "epsilon", 1e-4, minimum=0.0,
-                         exclusive=True),
-            region.euclidean_diameter(),
-            _float_field("perturbation", pert, "delta", 0.1, minimum=0.0,
-                         exclusive=True, maximum=1.0),
-            rng,
+            loss, pert["epsilon"], region.euclidean_diameter(), pert["delta"], rng
         )
 
+    def smoothness():
+        if opt["smoothness"] == "auto":
+            return objective.smoothness()
+        return opt["smoothness"]
+
+    kind = opt["kind"]
     if kind in ("gd", "sgd") and not _projection_supported(region):
         raise ConfigError(
             "optimizer.kind: projected methods need a projection for this set; "
@@ -410,76 +384,47 @@ def run_from_config(cfg: dict, overrides=None):
         )
 
     if kind == "fw":
-        rule_name = _str_field(
-            "optimizer", opt, "step_rule",
-            choices={"predefined", "quadratic", "exact", "short"},
-            default="predefined",
-        )
+        rule_name = opt["step_rule"]
         if rule_name == "predefined":
             rule = PredefinedDecay()
         elif rule_name == "exact":
             rule = ExactLineSearch()
+        elif rule_name == "quadratic":
+            rule = QuadraticLineSearch(smoothness=smoothness())
         else:
-            smoothness = _resolve_smoothness(opt, objective)
-            if rule_name == "quadratic":
-                rule = QuadraticLineSearch(smoothness=smoothness)
-            else:
-                try:
-                    alpha = region.strong_convexity()
-                except ValueError as exc:
-                    raise ConfigError(f"set: short step rule: {exc}") from exc
-                rule = ShortStep(smoothness=smoothness, alpha=alpha)
+            try:
+                alpha = region.strong_convexity()
+            except ValueError as exc:
+                raise ConfigError(f"set: short step rule: {exc}") from exc
+            rule = ShortStep(smoothness=smoothness(), alpha=alpha)
         trace = fw_run(objective, region, rule, iters, rng=rng,
                        record_timings=timings)
         label = f"fw/{rule_name}"
     elif kind == "pa":
-        option = _str_field("optimizer", opt, "option", choices={"A", "B"},
-                            default="A")
-        trace = pa_run(objective, region, option=option, iters=iters, rng=rng,
-                       record_timings=timings)
-        label = f"pa/{option}"
+        trace = pa_run(objective, region, option=opt["option"], iters=iters,
+                       rng=rng, record_timings=timings)
+        label = f"pa/{opt['option']}"
     elif kind == "spa":
         trace = spa_run(objective, region, iters=iters, rng=rng,
                         record_timings=timings)
         label = "spa"
     elif kind == "gd":
         init = default_init(region, rng)
-        eta_val = opt.get("eta", "auto")
-        if isinstance(eta_val, str):
-            if eta_val != "auto":
-                raise ConfigError(
-                    f"optimizer.eta: expected 'auto' or a number, got {eta_val!r}"
-                )
-            smoothness = _resolve_smoothness(opt, objective)
-            eta = tune_gd_eta(objective, region, smoothness, init)
-        else:
-            eta = _float_field("optimizer", opt, "eta", minimum=0.0, exclusive=True)
+        eta = opt["eta"]
+        if eta == "auto":
+            eta = tune_gd_eta(objective, region, smoothness(), init)
         trace = projected_gd_run(objective, region, eta=eta, iters=iters,
                                  init=init, record_timings=timings)
         label = f"gd/eta={eta:.4g}"
     else:
-        trace = projected_sgd_run(
-            objective,
-            region,
-            eta0=_float_field("optimizer", opt, "eta0", minimum=0.0,
-                              exclusive=True),
-            batch=_int_field("optimizer", opt, "batch", 32, minimum=1),
-            iters=iters,
-            rng=rng,
-            record_timings=timings,
-            sqrt_decay=_bool_field("optimizer", opt, "sqrt_decay", True),
-        )
+        trace = projected_sgd_run(objective, region, eta0=opt["eta0"],
+                                  batch=opt["batch"], iters=iters, rng=rng,
+                                  record_timings=timings,
+                                  sqrt_decay=opt["sqrt_decay"])
         label = "sgd"
 
-    info = {
-        "label": label,
-        "region": region,
-        "perturbed": perturbed,
-        "trace_path": trace_path,
-        "f_star": f_star,
-        "burn_in": burn_in,
-        "rel_tol": rel_tol,
-    }
+    info = {"label": label, "region": region, "perturbed": pert["enabled"],
+            "trace_path": trace_path, **cfg["analysis"]}
     return trace, info
 
 
@@ -496,8 +441,10 @@ def main():
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="YAML experiment description.")
-@click.option("--seed", type=int, default=None, help="Override optimizer.seed.")
-@click.option("--iters", type=int, default=None, help="Override optimizer.iters.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override optimizer.seed.")
+@click.option("--iters", type=click.IntRange(min=1), default=None,
+              help="Override optimizer.iters.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Override output.trace.")
 @click.option("--timings", is_flag=True, help="Record per-step wall times.")
@@ -508,8 +455,6 @@ def run(config_path, seed, iters, out, timings):
             cfg = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise click.UsageError(f"could not parse {config_path}: {exc}")
-    if iters is not None and iters < 1:
-        raise click.UsageError("--iters must be >= 1")
     overrides = {"seed": seed, "iters": iters, "out": out, "timings": timings}
     try:
         trace, info = run_from_config(cfg, overrides)
@@ -531,20 +476,12 @@ def run(config_path, seed, iters, out, timings):
     if f_star is not None:
         click.echo(f"final suboptimality: {trace.loss_f[-1] - f_star:.6g}")
         point = detect_convergence(trace, f_star, rel_tol=info["rel_tol"])
-        if point is None:
-            click.echo(
-                f"convergence (within {info['rel_tol']:.0%}): not reached"
-            )
-        else:
-            wall = (
-                f", wall {point.wall_clock_ms:.1f}ms"
-                if point.wall_clock_ms is not None
-                else ""
-            )
-            click.echo(
-                f"convergence (within {info['rel_tol']:.0%}): "
-                f"t={point.iteration}{wall}"
-            )
+        reached = "not reached"
+        if point is not None:
+            wall = point.wall_clock_ms
+            reached = f"t={point.iteration}" + (
+                "" if wall is None else f", wall {wall:.1f}ms")
+        click.echo(f"convergence (within {info['rel_tol']:.0%}): {reached}")
         series = [(t, f - f_star) for t, f in zip(trace.t, trace.loss_f)]
         try:
             fit = loglog_slope(series, burn_in=info["burn_in"])
@@ -564,7 +501,7 @@ def run(config_path, seed, iters, out, timings):
 
 @main.command()
 @click.argument("name")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Worker cap (default: PROJFREE_THREADS or cpu count, max 4).")
 def suite(name, threads):
     """Run the named check suite (convex, quasi, nonconvex, oracles, all)."""
@@ -572,8 +509,6 @@ def suite(name, threads):
         raise click.UsageError(
             f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}"
         )
-    if threads is not None and threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     try:
         results, ok = run_suite(name, threads=threads, echo=click.echo)
     except ValueError as exc:
@@ -586,7 +521,8 @@ def suite(name, threads):
 
 @main.command()
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--burn-in", type=int, default=10, show_default=True,
+@click.option("--burn-in", type=click.IntRange(min=0), default=10,
+              show_default=True,
               help="Drop records with t <= burn-in before fitting.")
 @click.option("--f-star", type=float, default=None,
               help="Subtract this optimum from loss columns before fitting.")
@@ -596,8 +532,6 @@ def suite(name, threads):
               help="Fit the running minimum of the column instead.")
 def slope(trace_path, burn_in, f_star, column, min_so_far):
     """Fit a log-log decay slope to a column of a stored trace."""
-    if burn_in < 0:
-        raise click.UsageError("--burn-in must be >= 0")
     try:
         trace = read_trace(trace_path)
     except ValueError as exc:

@@ -269,21 +269,11 @@ def gen_lowrank(spec: SyntheticSpec):
     return ObservedMatrix(full, mask), full
 
 
-@dataclass
-class StandardizeStats:
-    mean: np.ndarray
-    scale: np.ndarray
-
-
-def standardize(data: TabularDataset):
+def standardize(data: TabularDataset) -> TabularDataset:
     """Column-wise zero-mean unit-variance features (constant columns keep
-    scale 1).  Returns (new dataset, stats) with stats sufficient to invert."""
+    scale 1)."""
     mean = data.features.mean(axis=0)
     scale = data.features.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
     feats = (data.features - mean) / scale
-    return TabularDataset(feats, data.targets), StandardizeStats(mean, scale)
-
-
-def destandardize(data: TabularDataset, stats: StandardizeStats) -> TabularDataset:
-    return TabularDataset(data.features * stats.scale + stats.mean, data.targets)
+    return TabularDataset(feats, data.targets)

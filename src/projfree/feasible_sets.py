@@ -182,14 +182,6 @@ class FeasibleSet:
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.norm(x) <= self.r * (1.0 + tol)
 
-    def random_direction(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal(self.shape)
-        n = float(np.linalg.norm(g))
-        if n == 0.0:
-            g.flat[0] = 1.0
-            n = 1.0
-        return g / n
-
     def random_boundary(self, rng: np.random.Generator) -> np.ndarray:
         g = rng.standard_normal(self.shape)
         n = self.norm(g)

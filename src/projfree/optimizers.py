@@ -257,7 +257,10 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         f_val = base.evaluate(w)
         if not math.isfinite(f_val):
             raise NumericFailure(f"non-finite loss at iteration {t}")
-        h_val = None if loss is base else loss.evaluate(w)
+        # PerturbedLoss.evaluate's sum, reusing f_val instead of a second
+        # base evaluation.
+        h_val = (None if loss is base
+                 else f_val + loss.theta * float(np.vdot(loss.xi, w)))
         g, g_ms = _timed(record_timings, base.gradient, w)
         v, v_ms = _timed(record_timings, region.lmo, _guard_finite(g, t))
         at_w = (g, v, g_ms, v_ms)

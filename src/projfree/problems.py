@@ -81,21 +81,20 @@ def lsq_boundary_problem(
     d: int = 20,
     noise: float = 0.1,
     condition: float = 1000.0,
-    radius_scale: float = 0.9,
 ) -> LsqProblem:
     """Least squares over an l2 ball sized so the optimum is on the boundary.
 
-    The ball radius is radius_scale times the unconstrained solution norm;
+    The ball radius is 0.9 times the unconstrained solution norm;
     correlated features give the instance a realistic eigenvalue spread.
     """
     spec = SyntheticSpec(
         kind="regression", n=n, d=d, noise=noise, seed=seed, condition=condition
     )
     data, _ = gen_regression(spec)
-    data, _ = standardize(data)
+    data = standardize(data)
     x, y = data.features, data.targets
     w_free, *_ = np.linalg.lstsq(x, y, rcond=None)
-    radius = radius_scale * float(np.linalg.norm(w_free))
+    radius = 0.9 * float(np.linalg.norm(w_free))
     region = LpBall(p=2.0, r=radius, d=d)
     loss = QuadraticLoss(data)
     f_star, w_star = ridge_path_optimum(x, y, radius)
@@ -137,7 +136,7 @@ def biweight_problem(
         kind="regression", n=n, d=d, noise=noise, seed=seed, condition=condition
     )
     data, _ = gen_regression(spec)
-    data, _ = standardize(data)
+    data = standardize(data)
     region = LpBall(p=2.0, r=radius, d=d)
     loss = BiWeightLoss(data)
     return BiweightProblem(
@@ -173,11 +172,11 @@ def margin_classification_problem(
     return MarginProblem(loss=loss, region=region, d=d)
 
 
-def tune_gd_eta(loss, region, smoothness: float, init, probe_iters: int = 50):
+def tune_gd_eta(loss, region, smoothness: float, init):
     """Pick the constant GD step from a smoothness-scaled grid by probing.
 
-    Grid spans {0.25, 0.5, 1.0, 1.9} / L; the candidate with the lowest probe
-    loss wins.  Diverging candidates are discarded.
+    Grid spans {0.25, 0.5, 1.0, 1.9} / L; the candidate with the lowest loss
+    after a 50-iteration probe wins.  Diverging candidates are discarded.
     """
     best_eta = None
     best_val = math.inf
@@ -185,7 +184,7 @@ def tune_gd_eta(loss, region, smoothness: float, init, probe_iters: int = 50):
         eta = c / smoothness
         try:
             trace = projected_gd_run(
-                loss, region, eta=eta, iters=probe_iters, init=init
+                loss, region, eta=eta, iters=50, init=init
             )
         except NumericFailure:
             continue

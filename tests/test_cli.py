@@ -139,6 +139,44 @@ def test_run_config_errors_exit_2(runner, tmp_path, mutate, fragment):
     assert fragment in result.stderr
 
 
+@pytest.mark.parametrize(
+    "section, fields, message",
+    [
+        ("dataset", {"seed": -1}, "dataset.seed: must be >= 0, got -1"),
+        ("optimizer", {"seed": -1}, "optimizer.seed: must be >= 0, got -1"),
+        ("perturbation", {"enabled": True, "delta": 1.0},
+         "perturbation.delta: must be < 1.0, got 1.0"),
+        # fields the chosen method ignores are checked all the same
+        ("optimizer", {"smoothness": -5},
+         "optimizer.smoothness: must be > 0.0, got -5.0"),
+        ("perturbation", {"enabled": False, "epsilon": "banana"},
+         "perturbation.epsilon: expected a number, got 'banana'"),
+    ],
+)
+def test_run_bad_field_value_exits_2(runner, tmp_path, section, fields, message):
+    cfg = _base_config()
+    cfg.setdefault(section, {}).update(fields)
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+
+
+def test_run_negative_seed_option_exits_2(runner, tmp_path):
+    path = _write_config(tmp_path, _base_config())
+    result = runner.invoke(main, ["run", "--config", str(path), "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
+
+
+def test_run_reads_numeric_strings_where_auto_is_allowed():
+    runs = []
+    for smoothness in (40.0, "40", "4e1"):
+        cfg = _base_config(optimizer={"kind": "fw", "step_rule": "quadratic",
+                                      "smoothness": smoothness, "iters": 5})
+        runs.append(cli.run_from_config(cfg)[0].loss_f)
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_run_vector_set_rejects_matrix_model(runner, tmp_path):
     cfg = {
         "dataset": {"kind": "synthetic-lowrank", "m": 6, "n": 5, "rank": 2,

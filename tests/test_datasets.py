@@ -5,7 +5,6 @@ import pytest
 
 from projfree.datasets import (
     SyntheticSpec,
-    destandardize,
     gen_classification,
     gen_lowrank,
     gen_regression,
@@ -289,18 +288,15 @@ def test_spec_validation():
 def test_standardize_centers_and_scales():
     rng = np.random.default_rng(11)
     data = TabularDataset(rng.normal(3.0, 2.0, size=(200, 3)), rng.normal(size=200))
-    out, stats = standardize(data)
+    out = standardize(data)
     np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.features.std(axis=0), 1.0, rtol=1e-12)
-    back = destandardize(out, stats)
-    np.testing.assert_allclose(back.features, data.features, atol=1e-12)
-    np.testing.assert_array_equal(back.targets, data.targets)
+    np.testing.assert_array_equal(out.targets, data.targets)
 
 
 def test_standardize_constant_column_keeps_scale_one():
     feats = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-    out, stats = standardize(TabularDataset(feats, np.zeros(10)))
-    assert stats.scale[0] == 1.0
+    out = standardize(TabularDataset(feats, np.zeros(10)))
     np.testing.assert_array_equal(out.features[:, 0], np.zeros(10))
 
 

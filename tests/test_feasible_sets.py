@@ -509,8 +509,6 @@ def test_random_point_helpers():
     assert region.norm(b) == pytest.approx(region.r, rel=1e-9)
     f = region.random_feasible(rng)
     assert region.contains(f, tol=1e-9)
-    u = region.random_direction(rng)
-    assert float(np.linalg.norm(u)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constructor_validation():

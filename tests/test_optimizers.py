@@ -566,7 +566,7 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     base, region, _ = _interior_problem()
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
     counts = {}
-    _count_calls(monkeypatch, base, ["gradient"], counts)
+    _count_calls(monkeypatch, base, ["evaluate", "gradient"], counts)
     _count_calls(monkeypatch, region, ["lmo", "contains"], counts)
     iters, init, rng = 12, np.zeros(3), np.random.default_rng(3)
     runs = {
@@ -579,7 +579,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
                                          rng=rng),
     }
     # Full gradient and lmo calls: the gap makes one of each per iteration,
-    # and FW and GD reuse its gradient (untilted FW its vertex too).
+    # and FW and GD reuse its gradient (untilted FW its vertex too).  The
+    # record evaluates the base loss once, also under a tilt.
     expected = {
         "fw": (iters + 1, iters + 1),
         "fw-tilted": (iters + 1, 2 * iters),
@@ -589,7 +590,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     }
     runs[kind]()
     gradient, lmo = expected[kind]
-    assert counts == {"gradient": gradient, "lmo": lmo, "contains": 2}
+    assert counts == {"evaluate": iters, "gradient": gradient, "lmo": lmo,
+                      "contains": 2}
 
 
 def test_pa_on_schatten_ball_makes_two_svds_per_iteration(monkeypatch):
