@@ -13,13 +13,10 @@ from .numerics import as_matrix, as_vector, lambda_max_bound
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable logistic function, no overflow on large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Stable logistic function: exp(-|z|) never overflows, and each branch
+    # is 1 / (1 + e^-z) or e^z / (1 + e^z) as in the textbook split.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class TabularDataset:
@@ -91,6 +88,13 @@ class Loss:
         """Proven upper bound on the Lipschitz constant of gradient()."""
         raise NotImplementedError
 
+    def _chord(self, w, v):
+        """(phi, dphi) on the chord from w to v: phi(gamma) is the loss at
+        w + gamma (v - w) and dphi(gamma) its slope in gamma there."""
+        d = v - w
+        return (lambda gamma: self.evaluate(w + gamma * d),
+                lambda gamma: float(np.vdot(self.gradient(w + gamma * d), d)))
+
     def _check_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
@@ -159,6 +163,13 @@ class _TabularLoss(Loss):
     def smoothness(self) -> float:
         return self._CURVATURE * lambda_max_bound(self._x.T @ self._x)
 
+    def _chord(self, w, v):
+        # The margins are affine in gamma, so each probe is O(n).
+        mw = self._margins(w)
+        md = self._margins(v - w)
+        return (lambda gamma: float(np.sum(self._values(mw + gamma * md, self._y))),
+                lambda gamma: float(md @ self._dmargin(mw + gamma * md, self._y)))
+
 
 class LogisticLoss(_TabularLoss):
     """sum_i log(1 + exp(-y_i * x_i.w)) with labels y_i in {-1, +1}.
@@ -226,6 +237,18 @@ class QuadraticLoss(_TabularLoss):
         idx = self._check_indices(indices)
         r = self._residuals(w)
         return (self.n_samples / idx.size) * 2.0 * (self._x[idx].T @ r[idx])
+
+    def _chord(self, w, v):
+        # The residual, profiled intercept included, is affine in the model,
+        # so on the chord it is r + gamma * dr and phi is a parabola.
+        r = self._residuals(w)
+        dr = self._residuals(v) - r
+
+        def phi(gamma):
+            rg = r + gamma * dr
+            return float(rg @ rg)
+
+        return phi, lambda gamma: 2.0 * float((r + gamma * dr) @ dr)
 
     def exact_smoothness(self) -> float:
         """Same as smoothness(); perfbench patches and calls this name."""

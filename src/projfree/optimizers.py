@@ -32,7 +32,7 @@ Conventions shared by every run function:
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .perturbation import PerturbedLoss, sample_unit_sphere
 from .trace import Trace
 
 DIVERGENCE_GUARD = 1e12
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +72,14 @@ class QuadraticLineSearch:
 
 @dataclass
 class ExactLineSearch:
-    """Golden-section search on the chord, interval tolerance `tol`."""
+    """Minimizer of the loss on the chord from w to v, found as a root of
+    its slope to within `tol` in gamma.  The loss restricts itself to the
+    chord once per search (`_chord`); a tabular loss then probes in O(n)."""
 
     tol: float = 1e-8
 
     def step(self, t, objective, region, w, v, g) -> float:
-        return exact_line_search(
-            lambda gamma: objective.evaluate(w + gamma * (v - w)), self.tol
-        )
+        return exact_line_search(*objective._chord(w, v), self.tol)
 
 
 @dataclass
@@ -142,38 +140,57 @@ def short_step(grad_dual_norm: float, alpha: float, smoothness: float) -> float:
     return scaled / smoothness
 
 
-def exact_line_search(phi: Callable[[float], float], tol: float = 1e-8) -> float:
-    """Golden-section minimization of phi over [0, 1].
+def exact_line_search(phi, dphi, tol: float = 1e-8) -> float:
+    """Minimize phi over [0, 1] through a root of its slope dphi.
 
-    Returns the best point actually evaluated (endpoints included), so the
-    result never increases phi relative to gamma = 0; for unimodal phi it is
-    within tol of the true minimizer.
+    When dphi changes sign from negative to positive on [0, 1], the bracket
+    is narrowed by Illinois steps (regula falsi that halves the slope kept
+    at an end twice in a row; Dowell & Jarratt, BIT 11, 1971), with a
+    bisection whenever two steps together fail to halve the bracket, until
+    the bracket is within tol or dphi is exactly 0.  A linear dphi gives
+    the exact minimizer on the first step.  Returns whichever of that root, 0
+    and 1 has the smallest phi, so the result never increases phi relative
+    to gamma = 0; for unimodal phi it is within tol of the true minimizer.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+
+    def value(gamma):  # a phi that is not a number never wins
+        f = phi(gamma)
+        return f if f == f else math.inf
+
     a, b = 0.0, 1.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = phi(c)
-    fd = phi(d)
-    best_g, best_v = (c, fc) if fc <= fd else (d, fd)
-    for g, v in ((0.0, phi(0.0)), (1.0, phi(1.0))):
-        if v < best_v:
-            best_g, best_v = g, v
+    da, db = dphi(a), dphi(b)
+    if not da < 0.0 < db:
+        return min((a, b), key=value)
+    fa, fb = da, db  # the slopes the secant uses; Illinois halves a kept one
+    side, prev, bisect = 0, math.inf, False
     while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = phi(c)
-            if fc < best_v:
-                best_g, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = phi(d)
-            if fd < best_v:
-                best_g, best_v = d, fd
-    return best_g
+        width = b - a
+        c = 0.5 * (a + b) if bisect else b - fb * width / (fb - fa)
+        # A probe at least tol/2 inside the bracket closes it once one end
+        # sits within tol/2 of the root.
+        c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        dc = dphi(c)
+        if dc < 0.0:
+            a, da, fa = c, dc, dc
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        elif dc > 0.0:
+            b, db, fb = c, dc, dc
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        else:  # an exact root, or a slope that is not a number
+            a = b = c
+            break
+        bisect = b - a > 0.5 * prev  # two steps failed to halve the bracket
+        prev = width
+    root = a if abs(da) <= abs(db) else b
+    return min((root, 0.0, 1.0), key=value)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +242,9 @@ def default_init(region, rng: np.random.Generator) -> np.ndarray:
 
 
 def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
-    """Run `update` for t = 1..iters.  A non-finite loss or gradient raises
-    before its record is appended; the divergence guard fires after the
-    append and before the observer."""
+    """Run `update` for t = 1..iters.  A non-finite loss, direction norm or
+    gradient raises before its record is appended; the divergence guard
+    fires after the append and before the observer."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if rng is None:
@@ -261,12 +278,16 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         # base evaluation.
         h_val = (None if loss is base
                  else f_val + loss.theta * float(np.vdot(loss.xi, w)))
+        # np.linalg.norm's value, without its overflow warning.
+        direction_norm = math.sqrt(float(np.vdot(direction, direction)))
+        if not math.isfinite(direction_norm):
+            raise DivergenceError(f"non-finite direction norm at iteration {t}", t)
         g, g_ms = _timed(record_timings, base.gradient, w)
         v, v_ms = _timed(record_timings, region.lmo, _guard_finite(g, t))
         at_w = (g, v, g_ms, v_ms)
         trace.append(
             t, f_val, h_val, float(np.vdot(w - v, g)), snap.gamma, batch,
-            float(np.linalg.norm(direction.ravel())),
+            direction_norm,
             step_ms=None if step_ms is None else step_ms + sum(reused_ms),
             oracle_ms=oracle_ms, proj_ms=proj_ms,
         )

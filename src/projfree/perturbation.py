@@ -67,6 +67,13 @@ class PerturbedLoss(Loss):
         # A linear tilt leaves the Hessian unchanged.
         return self.base.smoothness()
 
+    def _chord(self, w, v):
+        phi, dphi = self.base._chord(w, v)
+        tilt_w = self.theta * float(np.vdot(self.xi, w))
+        tilt_d = self.theta * float(np.vdot(self.xi, v - w))
+        return (lambda gamma: phi(gamma) + tilt_w + gamma * tilt_d,
+                lambda gamma: dphi(gamma) + tilt_d)
+
 
 def make_perturbed(
     base: Loss,

@@ -222,6 +222,20 @@ def test_run_numeric_failure_exits_3(runner, tmp_path):
     assert "numeric failure" in result.stderr
 
 
+def test_run_overflowing_tilt_exits_3(runner, tmp_path):
+    # A tilt of size 1e300 / (4 D) keeps every iterate finite but overflows
+    # the recorded direction's norm.
+    cfg = _base_config(
+        dataset={"kind": "synthetic-regression", "n": 30, "d": 4, "seed": 1},
+        optimizer={"kind": "fw", "iters": 5},
+        perturbation={"enabled": True, "epsilon": 1e300},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output + str(result.exception)
+    assert "non-finite direction norm" in result.stderr
+
+
 def test_run_logistic_on_non_binary_labels_exits_2(runner, tmp_path):
     csv = tmp_path / "labels.csv"
     csv.write_text("".join(f"{0.1 * i:.1f},{1 + i % 2}\n" for i in range(20)))

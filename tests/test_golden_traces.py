@@ -160,8 +160,8 @@ GOLDEN = {
     "fw-predefined-tilted": "a893950d7eecae170c3926a8ca9660485835dac88d0e0fd57a10de85920faf83",
     "fw-quadratic": "02fd3a6f627b940b841355e088a20fa60d7f4c4b7b12cb9994b1fdf5bd33971e",
     "fw-quadratic-tilted": "0f616be2e5cc0cc4e4b9cf7f7eaca8e8a3ee1df4280a05948c81098f72776826",
-    "fw-exact": "27301b07fafcfbf8d4a36c662e5b55cae695f1dd8f3d88dca1931aebe00e7312",
-    "fw-exact-tilted": "5fb058ee324c3bf89ca9065ca5fa787ca15a6d94074c7a021690df3de6fda7ca",
+    "fw-exact": "989faf38aeb7613684a4a45b07996b1cd8bf9895922e09c5eca2c0948102ba7c",
+    "fw-exact-tilted": "4fd1a6c764d9cf48361ab872b7ad4188dd7586f460a2d3bbcfa1af7ba3b6d043",
     "fw-short": "e05ae76c4aa1f68723576a65dcbd1346f785dcc5b296b1c2f30d01718eef72ed",
     "fw-short-tilted": "43b2a73ef3bab317eb77011c1407f6eb792e447e6d1f764d836659fe0162a6f0",
     "fw-schatten": "8ef1fb2dd7c2be3efb8703bbcbd9b65121f67bb36232e4a9de46fa81d1b1b231",

@@ -97,6 +97,41 @@ def test_gradients_match_finite_differences():
             assert np.abs(got - want).max() <= 1e-5 * scale, type(loss).__name__
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.37, 1.0])
+def test_chord_matches_evaluate_and_gradient(gamma):
+    rng = np.random.default_rng(21)
+    bases = list(_all_losses())
+    tilts = [make_perturbed(base, 0.5, 2.0, 0.1, rng) for base in bases[4::4]]
+    for loss in bases + tilts:
+        w, v = 0.7 * rng.standard_normal((2, *loss.shape))
+        phi, dphi = loss._chord(w, v)
+        point = w + gamma * (v - w)
+        value = loss.evaluate(point)
+        slope = float(np.vdot(loss.gradient(point), v - w))
+        name = type(getattr(loss, "base", loss)).__name__
+        assert phi(gamma) == pytest.approx(value, rel=1e-12, abs=0.0), name
+        assert dphi(gamma) == pytest.approx(slope, rel=1e-12, abs=0.0), name
+
+
+def _sigmoid_masked(z):
+    # The boolean-mask form that losses._sigmoid replaced, kept as reference.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("n", [40, 500, 2000, 200_000])
+def test_sigmoid_matches_masked_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    edges = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 800.0, -800.0]
+    z = np.concatenate([edges, 800.0 * rng.uniform(-1.0, 1.0, n), rng.standard_normal(n)])
+    got, want = losses._sigmoid(z), _sigmoid_masked(z)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_losses_are_nonnegative():
     rng = np.random.default_rng(9)
     for loss in _all_losses():

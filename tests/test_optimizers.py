@@ -4,14 +4,19 @@ Closed-form step values are asserted exactly; trajectory checks replay the
 recorded snapshots and verify the defining recurrences.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from projfree.errors import DivergenceError, NumericFailure
 from projfree.feasible_sets import LpBall, SchattenPBall
 from projfree.losses import (
     ObservedQuadraticLoss,
     QuadraticLoss,
+    SquaredSigmoidLoss,
     TabularDataset,
 )
 from projfree.datasets import SyntheticSpec, gen_lowrank, gen_regression
@@ -75,13 +80,102 @@ def test_quadratic_line_search_closed_form():
 
 
 def test_exact_line_search_parabola():
-    gamma = exact_line_search(lambda g: (g - 0.3) ** 2)
+    gamma = exact_line_search(lambda g: (g - 0.3) ** 2, lambda g: 2.0 * (g - 0.3))
     assert gamma == pytest.approx(0.3, abs=1e-6)
 
 
 def test_exact_line_search_monotone_endpoints():
-    assert exact_line_search(lambda g: -g) == pytest.approx(1.0, abs=1e-6)
-    assert exact_line_search(lambda g: g) == pytest.approx(0.0, abs=1e-6)
+    assert exact_line_search(lambda g: -g, lambda g: -1.0) == pytest.approx(1.0, abs=1e-6)
+    assert exact_line_search(lambda g: g, lambda g: 1.0) == pytest.approx(0.0, abs=1e-6)
+
+
+def _minimizer_by_bisection(dphi):
+    """Reference minimizer of a unimodal phi on [0, 1]: plain bisection on
+    the sign of its slope, to a bracket of 1e-15."""
+    if dphi(0.0) >= 0.0:
+        return 0.0
+    if dphi(1.0) <= 0.0:
+        return 1.0
+    a, b = 0.0, 1.0
+    while b - a > 1e-15:
+        c = 0.5 * (a + b)
+        if dphi(c) < 0.0:
+            a = c
+        else:
+            b = c
+    return 0.5 * (a + b)
+
+
+_coefs = st.floats(-10.0, 10.0, allow_nan=False)
+_reproducible = settings(deadline=None, derandomize=True)
+
+
+@settings(_reproducible, max_examples=200)
+@given(st.lists(_coefs, min_size=4, max_size=4), st.floats(1e-12, 1e-2))
+@example([-0.0045, 0.07, -0.35, 0.25], 1e-8)  # slope roots 0.05, 0.1, 0.9
+def test_exact_line_search_never_above_the_endpoints(coefs, tol):
+    # Any quartic, unimodal or not: the result is never worse than 0 or 1.
+    # In the example the bracket closes on the shallow minimum at 0.05,
+    # and gamma = 1 is lower.
+    c1, c2, c3, c4 = coefs
+
+    def phi(g):
+        return c1 * g + c2 * g**2 + c3 * g**3 + c4 * g**4
+
+    def dphi(g):
+        return c1 + 2 * c2 * g + 3 * c3 * g**2 + 4 * c4 * g**3
+
+    gamma = exact_line_search(phi, dphi, tol)
+    assert 0.0 <= gamma <= 1.0
+    assert phi(gamma) <= min(phi(0.0), phi(1.0))
+
+
+@settings(_reproducible, max_examples=200)
+@given(st.floats(1e-3, 1e3), st.floats(-1.0, 2.0), _coefs, st.floats(1e-10, 1e-3))
+def test_exact_line_search_finds_a_parabola_minimizer(curvature, center, offset, tol):
+    gamma = exact_line_search(lambda g: curvature * (g - center) ** 2 + offset,
+                              lambda g: 2.0 * curvature * (g - center), tol)
+    assert abs(gamma - min(max(center, 0.0), 1.0)) <= tol
+
+
+@settings(_reproducible, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-10, 1e-4))
+def test_exact_line_search_on_squared_sigmoid_chords(seed, tol):
+    # Chords of the squared sigmoid on separable data, kept when their slope
+    # on a grid never turns from positive to negative, so that phi is
+    # unimodal.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((20, 3))
+    y = (x @ rng.standard_normal(3) > 0.0).astype(np.float64)
+    loss = SquaredSigmoidLoss(TabularDataset(x, y))
+    w, v = 3.0 * rng.standard_normal((2, 3))
+    phi, dphi = loss._chord(w, v)
+    signs = np.sign([dphi(g) for g in np.linspace(0.0, 1.0, 201)])
+    assume(np.all(np.diff(signs[signs != 0.0]) >= 0.0))
+    gamma = exact_line_search(phi, dphi, tol)
+    assert abs(gamma - _minimizer_by_bisection(dphi)) <= tol
+
+
+@settings(_reproducible, max_examples=50)
+@given(_coefs, st.sampled_from(["constant", "nan", "nan-inside"]))
+def test_exact_line_search_degenerate_slopes(level, kind):
+    # A constant phi, and a slope that is not a number everywhere or inside
+    # a valid bracket, give a step in [0, 1] without raising.
+    if kind == "constant":
+        dphi = lambda g: 0.0  # noqa: E731
+    elif kind == "nan":
+        dphi = lambda g: math.nan  # noqa: E731
+    else:
+        dphi = lambda g: {0.0: -1.0, 1.0: 1.0}.get(g, math.nan)  # noqa: E731
+    gamma = exact_line_search(lambda g: level, dphi)
+    assert 0.0 <= gamma <= 1.0
+
+
+def test_exact_line_search_never_returns_a_nan_value():
+    # phi is not a number inside (0, 1), so only an endpoint may win.
+    gamma = exact_line_search(lambda g: -g if g in (0.0, 1.0) else math.nan,
+                              lambda g: 2.0 * (g - 0.5))
+    assert gamma == 1.0
 
 
 def test_short_step_formula():
