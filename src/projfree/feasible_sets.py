@@ -22,6 +22,8 @@ _FEASIBLE_SLACK = 1e-12
 _PROJ_RTOL = 1e-10
 _NEWTON_MAX_ITER = 200
 
+_TINY = np.finfo(float).tiny
+
 
 def _conjugate(p: float) -> float:
     """Holder conjugate on the closed range [1, inf]."""
@@ -47,6 +49,9 @@ def _max_unit_vector(c: np.ndarray, p: float) -> np.ndarray:
         return u
     q = _conjugate(p)
     nq = lp_norm(c, q)
+    if nq < _TINY:  # a subnormal norm keeps a few bits; rescale c exactly
+        c = np.ldexp(c, 1022)
+        nq = lp_norm(c, q)
     return np.sign(c) * (np.abs(c) / nq) ** (q - 1.0)
 
 
@@ -124,12 +129,13 @@ def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
 
 def _project_lp_vector(x: np.ndarray, p: float, r: float) -> np.ndarray:
     """Euclidean projection onto {v : ||v||_p <= r} for p in [1, 2] or inf."""
-    if lp_norm(x, p) <= r * (1.0 + _FEASIBLE_SLACK):
+    norm = lp_norm(x, p)
+    if norm <= r * (1.0 + _FEASIBLE_SLACK):
         return x
     if math.isinf(p):
         return np.clip(x, -r, r)
     if p == 2.0:
-        return x * (r / lp_norm(x, 2.0))
+        return x * (r / norm)
     if p == 1.0:
         return np.sign(x) * _project_simplex(np.abs(x), r)
     if 1.0 < p < 2.0:
@@ -222,7 +228,14 @@ class LpBall(FeasibleSet):
 
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
-        if not np.any(c):
+        if self.p == 2.0:
+            # Closed form while ||c||^2 is a normal float; zero, subnormal
+            # and overflowing squares take the rescaled path.  vdot, unlike
+            # matmul, overflows to inf without a warning.
+            s = float(np.vdot(c, c))
+            if _TINY < s < math.inf:
+                return -self.r * (c / math.sqrt(s))
+        if not c.any():
             return self._first_vertex()
         return -self.r * _max_unit_vector(c, self.p)
 
@@ -265,7 +278,7 @@ class SchattenPBall(FeasibleSet):
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
         dec = svd(c)
-        if not np.any(dec.s):  # zero input or numerically zero spectrum
+        if not dec.s.any():  # zero input or numerically zero spectrum
             return self._first_vertex()
         w = _max_unit_vector(dec.s, self.p)
         return -self.r * (dec.u * w) @ dec.v.T
@@ -339,7 +352,7 @@ class GroupLpqBall(FeasibleSet):
 
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
-        if not np.any(c):
+        if not c.any():
             return self._first_vertex()
         z = _conjugate(self.p)
         row_dual = self._row_norms(c, z)

@@ -20,7 +20,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -30,7 +30,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 

@@ -219,7 +219,7 @@ def _timed(enabled: bool, fn, *args):
 
 
 def _guard_finite(g: np.ndarray, t: int) -> np.ndarray:
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError(f"non-finite gradient at iteration {t}", t)
     return g
 
@@ -431,15 +431,16 @@ def spa_run(
     """Stochastic primal averaging: instantaneous-direction updates driven by
     a without-replacement batch gradient with |S_t| = min(t^4, N).
 
-    Once the schedule reaches N the update coincides with the deterministic
-    instantaneous-gradient run in exact arithmetic.
+    Once the schedule reaches N the step takes the full gradient, so the
+    update coincides with the deterministic instantaneous-gradient run.
     """
     n = loss.n_samples
 
     def gradient_at(t, z, rng):
         size = spa_batch_size(t, n)
-        idx = np.arange(n) if size == n else rng.choice(n, size=size, replace=False)
-        return loss.stochastic_gradient(z, idx), size
+        if size == n:  # the full batch draws nothing from rng
+            return loss.gradient(z), size
+        return loss.stochastic_gradient(z, rng.choice(n, size=size, replace=False)), size
 
     return _drive(
         loss, region, iters, init, rng, record_timings, on_iterate,

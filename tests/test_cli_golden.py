@@ -93,18 +93,18 @@ def _digest(cfg: dict, workdir: Path) -> tuple:
 
 
 GOLDEN = {
-    "fw-predefined": ("fw/predefined", "2d761d243458ac186811e2bcd356c9f5bdd86abd1217992b42043a53b54335fb"),
-    "fw-quadratic": ("fw/quadratic", "7b8545a16b15e6455791cab1de4ed9100c7af165b08c7a720367e02482d0a5bb"),
+    "fw-predefined": ("fw/predefined", "5375e81fd7c91997129f884a0a0268561c877dbe46653eedab61c5092492279a"),
+    "fw-quadratic": ("fw/quadratic", "5e6d4fd92dd7bd7be7fab438c3df568e893b3b93afcd844e53dca9e88e8d616f"),
     "fw-exact": ("fw/exact", "0127a11421f4b738edb6affbbf1ffa8c27ac0a70e461f59ed99ed31cecdaf314"),
-    "fw-short": ("fw/short", "7f3312245e1786988c348aea31f9c252df234f943bfbb930eb00edcfb126730c"),
-    "pa-B": ("pa/B", "88a88ae808451755667022eaee89b5f9d480fb7e248a9b9ee9a448da78057442"),
-    "pa-A-tilted": ("pa/A", "4288670ed65cb2ac11af57f5562154f92da8b1bd4e620bf403cb8d492a899e4f"),
-    "spa": ("spa", "facb7bb4fdbe68f91ee52b6050a3f9d83732d699a8d8e5a12ddb5d6541f82402"),
-    "gd-auto": ("gd/eta=0.006209", "f2459f84d7144628727c352ab458b3bb22da3e4cd48cee299766b33d4cbb7212"),
-    "gd-number": ("gd/eta=0.01", "06c64bffd5046b778b04b554ad8121957eda1d217c796c737dc8892a453b6b98"),
-    "sgd-sqrt": ("sgd", "b5496896997cc1c0aade6d84cf94967cea61178d2623e8327e409ccb3ab8abe5"),
-    "sgd-constant": ("sgd", "1ff9595b2debb5d7fe3e63fe19d270070d6bf3110d653bf075d2e13c9992fb72"),
-    "fw-csv-standardized": ("fw/predefined", "b124c390ddfb2baa269811a3b4983ae9040c029481b6a70ef4e4991de3683574"),
+    "fw-short": ("fw/short", "3c77b44c1902ad4724fcb39b3feb21581fe7adab91511df4f2773cedd2098c13"),
+    "pa-B": ("pa/B", "ad77eb5aade0cdbc13794da55782699906e47c37875b858f1c185ebbedbb5f0d"),
+    "pa-A-tilted": ("pa/A", "04a10b10b31fe708230d9bc6798da947958010082945bbf61b7ddc66aa2b6b76"),
+    "spa": ("spa", "3bccfd07a2650377a315737c9bed1eac09e7b085e3fe52eeabd3738731ba5b7e"),
+    "gd-auto": ("gd/eta=0.006209", "35a0c7f9f01df340a1193288d5db251408870e119d8cf76ee063d9ac72452316"),
+    "gd-number": ("gd/eta=0.01", "bb24e6a2ce0ca81ef935e5aea26cb23dbe04d808241cc55e36b8d63d6d39f5b1"),
+    "sgd-sqrt": ("sgd", "b2add119b9e0fb819489b28dafa741debacc009e0c1c79e63b3823c5ed66afea"),
+    "sgd-constant": ("sgd", "57b1f85d688b62798ab4189cbbd0c483a40ded975a6f7f7ecd890e0bd9c3f30f"),
+    "fw-csv-standardized": ("fw/predefined", "37fea6e0a15e357466b2391be17bb393509fc186724995c7f82f24b47edca2f4"),
     "pa-schatten": ("pa/A", "98d06c1e0b6bbd0f7c5fbb0429dd9ed7ec1b9f37d3e744a69f28dd9362e7ac8b"),
     "fw-group": ("fw/quadratic", "33a014f397465d9c367f75f9e3e761fcb80773948633f9b28a25a2915dd4dbd8"),
 }

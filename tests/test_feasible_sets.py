@@ -5,11 +5,14 @@ the sampled checks compare oracle answers against dense boundary scans.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall
+from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall, _max_unit_vector
 from projfree.numerics import lp_norm
 
 RNG = np.random.default_rng(123)
@@ -124,6 +127,67 @@ def test_lmo_shape_mismatch():
         LpBall(p=2.0, r=1.0, d=3).lmo(np.ones(4))
     with pytest.raises(ValueError):
         SchattenPBall(p=2.0, r=1.0, m=2, n=2).lmo(np.ones((3, 2)))
+
+
+# Entries whose squares overflow, underflow or go subnormal, next to
+# ordinary ones.
+_l2_entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.9, 9.9),
+              st.sampled_from([-300, -200, -160, -155, 153, 154, 200, 300])),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny]),
+)
+
+
+@st.composite
+def _l2_costs(draw):
+    """Cost vectors for the l2 oracle: random, one-hot, tied and zero."""
+    d = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "one-hot", "tied", "zero"]))
+    if kind == "random":
+        return np.array(draw(st.lists(_l2_entries, min_size=d, max_size=d)))
+    c = np.zeros(d)
+    if kind == "one-hot":
+        c[draw(st.integers(0, d - 1))] = draw(_l2_entries)
+    elif kind == "tied":
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+        c = abs(draw(_l2_entries)) * np.array(signs)
+    return c
+
+
+@settings(max_examples=400)
+@given(_l2_costs(), st.sampled_from([1e-3, 0.7, 1.0, 3.0, 1e6]))
+@example(np.array([1e200, -1e200]), 1.0)  # the square overflows
+@example(np.array([1e-160, 3e-170]), 1.0)  # the square is subnormal
+@example(np.array([2e-154, 5e-324, 0.0]), 1.0)  # just above the smallest normal
+def test_lmo_l2_closed_form_matches_rescaled_path(c, r):
+    ball = LpBall(p=2.0, r=r, d=c.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = ball.lmo(c)
+    eps = np.finfo(float).eps
+    top = float(np.abs(c).max())
+    if top == 0.0:
+        np.testing.assert_array_equal(v, ball._first_vertex())
+        return
+    # <lmo(c), c> = -r ||c||_2, compared on c / max|c| so that nothing
+    # overflows or underflows.
+    u = c / top
+    assert float(np.vdot(v, u)) == pytest.approx(-r * lp_norm(u, 2.0), rel=8 * eps)
+    rescaled = -r * _max_unit_vector(c, 2.0)
+    assert np.abs(v - rescaled).max() <= 4 * eps * r
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lmo_subnormal_cost_lands_on_the_boundary(p):
+    # The dual norm of a subnormal cost keeps only a few bits unless the
+    # cost is rescaled first.
+    ball = LpBall(p=p, r=1.0, d=3)
+    for c in ([-5e-324, -5e-324, 0.0], [1e-310, -3e-312, 5e-324]):
+        v = ball.lmo(np.array(c))
+        assert ball.norm(v) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_array_equal(np.sign(v), -np.sign(c))
 
 
 def _unit_maximizer(c: np.ndarray, p: float) -> np.ndarray:

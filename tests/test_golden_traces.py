@@ -175,15 +175,15 @@ GOLDEN = {
     "pa-b": "3aaacf5ba28d8a019f9be07e915f0b669fcec3cc4784e3f2a24dc67f72c54e61",
     "pa-b-tilted": "27dbf36407172727ff8361cf207c9963b82b4f5b47e84b662117efa8ac40b6ba",
     "pa-b-schatten": "fbe88a39ec29242b0a935d710b281212685f8346c155f522d024b38e639023f9",
-    "spa": "804a920454ceb3de49247bd30ec9de3123c1a5a66a8e996d049e800be335dd99",
+    "spa": "59950c3d3af1719d45df5b8ec41f59ad8d6e11f028c8f8be7760f7683bfbb09b",
     "spa-default-rng": "82c288a2b37b188a79d3b605da745b5dc7a1ce4ce7d7311d69de374ce2ba73c9",
-    "spa-tilted": "07f7f38ef4ba65f8b540e5247a3b7aba9eb84a474d5f5b4500ecf6a1c4d95383",
+    "spa-tilted": "fd9ae1ff89876636255bad67ac28926c0bc24d1ef2b5de1c734e1695c4b9bff9",
     "gd": "5d358b8c88a7b4aa466d96f6c11e316196f4daeb92baf4b0f0f9d18a2a213cd4",
-    "gd-bias": "9e27e9f1eb4e05631bf6a5f602ba157615a99af16c5672dc0d3a813b201bb3db",
-    "gd-tilted": "686d0e18f1dfa678ea7c23b5a86b81489e82f7558e2c62364e1e8797da7ac9d2",
-    "sgd-sqrt": "9c1f04c63f3d7a0df93239a5d032efd6159bb4b4e8146e998d07a2d10cb8b27c",
-    "sgd-constant": "fd481f71de370fca68fb7caeaa86cc5f069aa1aa383edcceabad74045053eb00",
-    "sgd-tilted": "25e3817f50cf775f9667acc55e4f17decaadcf5a2a7393e22b50bc374c9a6638",
+    "gd-bias": "92d403ad54188d96d526284622559d11aa789513cf7eb9c9a8df01b6b42a41ac",
+    "gd-tilted": "c8741188f9f5ade3a1a9c054b93a93d4cc2aa579ed50ddbf5d3d1d84b6d334f5",
+    "sgd-sqrt": "71d1e7a36be27048f67dc81bf66880b00eebed73969fbeb7793f15d65d806847",
+    "sgd-constant": "24c49c791c5257c2fc6fff4b07c23defb659824ad0304af827f5897e87e4ae38",
+    "sgd-tilted": "15994255f51078c1e556d1292e7ffdc0711048ae18214757efb51ea1ca5c9c92",
 }
 
 

@@ -67,6 +67,9 @@ def _all_losses():
     yield BiWeightLoss(_toy_tabular(12, 3, 6))
     yield BiWeightLoss(_toy_tabular(12, 3, 7), bias=True)
     yield ObservedQuadraticLoss(_toy_observed(8))
+    # Tall enough (8 d <= n) for the Gram-form gradient.
+    yield QuadraticLoss(_toy_tabular(40, 3, 40))
+    yield QuadraticLoss(_toy_tabular(40, 3, 41), bias=True)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,47 @@ def test_sigmoid_matches_masked_form_bit_for_bit(n):
     z = np.concatenate([edges, 800.0 * rng.uniform(-1.0, 1.0, n), rng.standard_normal(n)])
     got, want = losses._sigmoid(z), _sigmoid_masked(z)
     assert got.tobytes() == want.tobytes()
+
+
+def _residual_gradient(data, w, bias):
+    """2 X^T r with the residual r from its definition."""
+    r = data.features @ w - data.targets
+    if bias:
+        r -= np.mean(r)
+    return 2.0 * (data.features.T @ r)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("n", [39, 40, 400])
+def test_gram_gradient_matches_residual_pullback(n, bias):
+    # d = 5: n = 39 keeps the residual form, 40 and 400 take the Gram form.
+    data = _toy_tabular(n, 5, 50 + n)
+    loss = QuadraticLoss(data, bias=bias)
+    assert (loss._gram is not None) == (8 * 5 <= n)
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        w = 2.0 * rng.standard_normal(5)
+        want = _residual_gradient(data, w, bias)
+        got = loss.gradient(w)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_batch_gradient_matches_full_residual_rows(bias):
+    # The batch form computes residuals for its own rows only, with the
+    # profiled intercept from the stored means.
+    data = _toy_tabular(60, 4, 52)
+    loss = QuadraticLoss(data, bias=bias)
+    rng = np.random.default_rng(53)
+    for size in (1, 7, 59):
+        w = rng.standard_normal(4)
+        idx = np.sort(rng.choice(60, size=size, replace=False))
+        r = data.features @ w - data.targets
+        if bias:
+            r -= np.mean(r)
+        want = (60 / size) * 2.0 * (data.features[idx].T @ r[idx])
+        got = loss.stochastic_gradient(w, idx)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_losses_are_nonnegative():
