@@ -502,17 +502,14 @@ def run(config_path, seed, iters, out, timings):
 @main.command()
 @click.argument("name")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker cap (default: PROJFREE_THREADS or cpu count, max 4).")
+              help="Worker cap (default: cpu count, max 4).")
 def suite(name, threads):
     """Run the named check suite (convex, quasi, nonconvex, oracles, all)."""
     if name not in SUITES:
         raise click.UsageError(
             f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}"
         )
-    try:
-        results, ok = run_suite(name, threads=threads, echo=click.echo)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    results, ok = run_suite(name, threads=threads, echo=click.echo)
     passed = sum(r.passed for r in results)
     click.echo(f"suite {name}: {passed}/{len(results)} passed")
     if not ok:

@@ -166,7 +166,6 @@ class SyntheticSpec:
     seed: int = 0
     condition: float = 1.0
     w_norm: float = 1.0
-    bias: float = 0.0
     margin: float = 0.5
     rank: int = 2
     m: int = 20
@@ -201,7 +200,7 @@ def _correlated_features(rng: np.random.Generator, n: int, d: int, condition: fl
 
 
 def gen_regression(spec: SyntheticSpec):
-    """Linear data y = X w_true + bias + noise * eps.
+    """Linear data y = X w_true + noise * eps.
 
     Returns (TabularDataset, w_true); ||w_true|| = spec.w_norm so callers can
     size a constraint ball relative to the planted model.
@@ -211,7 +210,7 @@ def gen_regression(spec: SyntheticSpec):
     rng = np.random.default_rng(spec.seed)
     x = _correlated_features(rng, spec.n, spec.d, spec.condition)
     w_true = sample_unit_sphere(spec.d, rng) * spec.w_norm
-    y = x @ w_true + spec.bias
+    y = x @ w_true
     if spec.noise > 0.0:
         y = y + spec.noise * rng.standard_normal(spec.n)
     return TabularDataset(x, y), w_true

@@ -178,10 +178,6 @@ class FeasibleSet:
     def strong_convexity(self) -> float:
         raise NotImplementedError
 
-    def diameter(self) -> float:
-        """Diameter in the set's own norm."""
-        return 2.0 * self.r
-
     def euclidean_diameter(self) -> float:
         raise NotImplementedError
 
@@ -286,9 +282,9 @@ class SchattenPBall(FeasibleSet):
     def project(self, x) -> np.ndarray:
         x = self._check(x)
         dec = svd(x)
-        if lp_norm(dec.s, self.p) <= self.r * (1.0 + _FEASIBLE_SLACK):
-            return x
         s = _project_lp_vector(dec.s, self.p, self.r)
+        if s is dec.s:  # feasible inputs pass through
+            return x
         return (dec.u * s) @ dec.v.T
 
     def strong_convexity(self) -> float:
@@ -352,8 +348,11 @@ class GroupLpqBall(FeasibleSet):
 
     def lmo(self, c) -> np.ndarray:
         c = self._check(c)
-        if not c.any():
+        top = np.abs(c).max()
+        if top == 0.0:
             return self._first_vertex()
+        if top < _TINY:  # subnormal rows keep a few bits; rescale c exactly
+            c = np.ldexp(c, 1022)
         z = _conjugate(self.p)
         row_dual = self._row_norms(c, z)
         # Row-wise _max_unit_vector; zero rows come out as zero rows.
@@ -377,9 +376,9 @@ class GroupLpqBall(FeasibleSet):
                 "group-ball projection is implemented for inner exponent p = 2 only"
             )
         norms = np.linalg.norm(x, axis=1)
-        if lp_norm(norms, self.q) <= self.r * (1.0 + _FEASIBLE_SLACK):
-            return x
         shrunk = _project_lp_vector(norms, self.q, self.r)
+        if shrunk is norms:  # feasible inputs pass through
+            return x
         scale = np.where(norms > 0.0, shrunk / np.where(norms > 0.0, norms, 1.0), 0.0)
         return x * scale[:, None]
 

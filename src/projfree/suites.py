@@ -1,12 +1,15 @@
 """Named acceptance checks and the suite runner behind `projfree suite`.
 
 Each check builds its own problem, runs the relevant algorithms, and compares
-a measured quantity against a fixed requirement.  Checks are independent and
-may run in parallel; results carry both sides of the comparison so the CLI
-can print measured-vs-required lines.
+a measured quantity against a fixed requirement.  One `_criterion` decorator
+declares a check's number, suite, name and requirement, and registers it in
+CRITERIA and SUITES.  Checks are independent and may run in parallel; results
+carry both sides of the comparison so the CLI can print measured-vs-required
+lines.
 """
 
 import concurrent.futures
+import functools
 import math
 import os
 import tempfile
@@ -69,14 +72,39 @@ class CheckResult:
         )
 
 
-def _result(name, passed, measured, required, start) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        measured=measured,
-        required=required,
-        seconds=time.perf_counter() - start,
-    )
+# Criterion number -> check, and suite name -> criterion numbers, both in
+# definition order; only _criterion fills them.
+CRITERIA = {}
+SUITES = {"all": []}
+
+
+def _criterion(num: int, suite: str, name: str, required: str):
+    """Register the decorated body as criterion `num` of `suite` and "all".
+
+    The body returns (passed, measured), or (passed, measured, required) when
+    an early exit states its own requirement; the registered check times it
+    and wraps the verdict in a CheckResult.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            start = time.perf_counter()
+            passed, measured, *stated = body()
+            return CheckResult(
+                name=name,
+                passed=bool(passed),
+                measured=measured,
+                required=stated[0] if stated else required,
+                seconds=time.perf_counter() - start,
+            )
+
+        CRITERIA[num] = check
+        SUITES.setdefault(suite, []).append(num)
+        SUITES["all"].append(num)
+        return check
+
+    return register
 
 
 def _min_so_far(values):
@@ -117,19 +145,15 @@ def _fwplr_plain():
 # criterion 1: averaged-gradient rate on the boundary instance
 
 
-def check_pa_rate() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(1, "convex", "convex/pa-rate", "slope <= -1.7, r^2 >= 0.9, runtime < 60s")
+def check_pa_rate():
     prob = lsq_boundary_problem()
     trace, run_seconds = _pa_a_perturbed()
     series = [(t, f - prob.f_star) for t, f in zip(trace.t, trace.loss_f)]
     fit = loglog_slope(series, burn_in=20)
     passed = fit.slope <= -1.7 and fit.r_squared >= 0.9 and run_seconds < 60.0
-    return _result(
-        "convex/pa-rate",
-        passed,
-        f"slope {fit.slope:.3f}, r^2 {fit.r_squared:.4f}, runtime {run_seconds:.1f}s",
-        "slope <= -1.7, r^2 >= 0.9, runtime < 60s",
-        start,
+    return passed, (
+        f"slope {fit.slope:.3f}, r^2 {fit.r_squared:.4f}, runtime {run_seconds:.1f}s"
     )
 
 
@@ -137,8 +161,9 @@ def check_pa_rate() -> CheckResult:
 # criterion 2: plain Frank-Wolfe rate window and explicit bound
 
 
-def check_fw_rate() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(2, "convex", "convex/fw-rate",
+            "slope in [-1.6, -0.8], suboptimality <= 2LD^2/(t+1) at every t")
+def check_fw_rate():
     prob = lsq_boundary_problem()
     trace = _fwplr_plain()
     series = [(t, f - prob.f_star) for t, f in zip(trace.t, trace.loss_f)]
@@ -149,13 +174,7 @@ def check_fw_rate() -> CheckResult:
         for t, f in zip(trace.t, trace.loss_f)
     )
     passed = -1.6 <= fit.slope <= -0.8 and bound_ratio <= 1.0
-    return _result(
-        "convex/fw-rate",
-        passed,
-        f"slope {fit.slope:.3f}, worst bound ratio {bound_ratio:.3e}",
-        "slope in [-1.6, -0.8], suboptimality <= 2LD^2/(t+1) at every t",
-        start,
-    )
+    return passed, f"slope {fit.slope:.3f}, worst bound ratio {bound_ratio:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +194,9 @@ def _nonconvex_runs():
     return prob, traces
 
 
-def check_nonconvex_gap() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(3, "nonconvex", "nonconvex/gap-rate",
+            "slope <= -0.9, rate bound dominates min-so-far gap at every t")
+def check_nonconvex_gap():
     prob, traces = _nonconvex_runs()
     main = traces[0]
     f_star = min(min(tr.loss_f) for tr in traces)
@@ -188,13 +208,7 @@ def check_nonconvex_gap() -> CheckResult:
         for t, m in zip(main.t, mins)
     )
     passed = fit.slope <= -0.9 and worst <= 1.0
-    return _result(
-        "nonconvex/gap-rate",
-        passed,
-        f"min-gap slope {fit.slope:.3f}, worst bound ratio {worst:.3e}",
-        "slope <= -0.9, rate bound dominates min-so-far gap at every t",
-        start,
-    )
+    return passed, f"min-gap slope {fit.slope:.3f}, worst bound ratio {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +228,9 @@ def _quasi_runs():
     return prob, main, restarts
 
 
-def check_quasi_neighborhood() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(4, "quasi", "quasi/neighborhood",
+            "gap <= 0.05, slope <= -1/3 while suboptimality in (0, 1)")
+def check_quasi_neighborhood():
     _, main, restarts = _quasi_runs()
     best_restart = min(tr.loss_f[-1] for tr in restarts)
     final = main.loss_f[-1]
@@ -228,12 +243,9 @@ def check_quasi_neighborhood() -> CheckResult:
     ]
     fit = loglog_slope(series, burn_in=0)
     passed = gap_to_best <= 0.05 and fit.slope <= -1.0 / 3.0
-    return _result(
-        "quasi/neighborhood",
-        passed,
-        f"final-vs-restarts gap {gap_to_best:.3e}, neighborhood slope {fit.slope:.3f}",
-        "gap <= 0.05, slope <= -1/3 while suboptimality in (0, 1)",
-        start,
+    return passed, (
+        f"final-vs-restarts gap {gap_to_best:.3e}, "
+        f"neighborhood slope {fit.slope:.3f}"
     )
 
 
@@ -241,8 +253,10 @@ def check_quasi_neighborhood() -> CheckResult:
 # criterion 5: stochastic batch schedule and parity with the deterministic run
 
 
-def check_spa_parity() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(5, "convex", "convex/spa-parity",
+            "batch = min(t^4, N) for t <= 50; "
+            "final gap <= 2x deterministic (seeds 11-13)")
+def check_spa_parity():
     prob = lsq_boundary_problem()
     n = prob.loss.n_samples
     worst_ratio = 0.0
@@ -265,12 +279,9 @@ def check_spa_parity() -> CheckResult:
         pa_gap = pa_trace.loss_f[-1] - prob.f_star
         worst_ratio = max(worst_ratio, spa_gap / pa_gap)
     passed = schedule_ok and worst_ratio <= 2.0
-    return _result(
-        "convex/spa-parity",
-        passed,
-        f"batch schedule exact: {schedule_ok}, worst final-gap ratio {worst_ratio:.3f}",
-        "batch = min(t^4, N) for t <= 50; final gap <= 2x deterministic (seeds 11-13)",
-        start,
+    return passed, (
+        f"batch schedule exact: {schedule_ok}, "
+        f"worst final-gap ratio {worst_ratio:.3f}"
     )
 
 
@@ -396,8 +407,10 @@ def _refined_minimum(region, pool, jitter, c_flat: np.ndarray) -> float:
     return best_val
 
 
-def check_lmo_optimality() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(6, "oracles", "oracles/lmo-optimality",
+            "gap <= 1e-3 over 1e6 boundary samples x 100 directions; "
+            "l2 exact to 1e-12")
+def check_lmo_optimality():
     regions = [
         LpBall(p=1.0, r=1.0, d=3),
         LpBall(p=1.5, r=1.0, d=3),
@@ -420,12 +433,10 @@ def check_lmo_optimality() -> CheckResult:
             c = sample_unit_sphere(pool.shape[1], rng).reshape(region.shape)
             v = region.lmo(c)
             if not region.contains(v, tol=1e-9):
-                return _result(
-                    "oracles/lmo-optimality",
+                return (
                     False,
                     f"infeasible oracle answer on {region!r}",
                     "oracle answers feasible",
-                    start,
                 )
             lmo_val = float(np.vdot(v, c))
             brute = _refined_minimum(region, pool, jitter, c.ravel())
@@ -438,12 +449,8 @@ def check_lmo_optimality() -> CheckResult:
         exact = -l2.r * c / np.linalg.norm(c)
         worst_l2 = max(worst_l2, float(np.abs(l2.lmo(c) - exact).max()))
     passed = worst_gap <= 1e-3 and worst_l2 <= 1e-12
-    return _result(
-        "oracles/lmo-optimality",
-        passed,
-        f"worst brute-force gap {worst_gap:.2e}, worst l2 deviation {worst_l2:.2e}",
-        "gap <= 1e-3 over 1e6 boundary samples x 100 directions; l2 exact to 1e-12",
-        start,
+    return passed, (
+        f"worst brute-force gap {worst_gap:.2e}, worst l2 deviation {worst_l2:.2e}"
     )
 
 
@@ -451,8 +458,9 @@ def check_lmo_optimality() -> CheckResult:
 # criterion 7: projection correctness
 
 
-def check_projection() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(7, "oracles", "oracles/projection",
+            "VI <= 1e-8, idempotent to 1e-10, within 1e-3 of the d=2 grid oracle")
+def check_projection():
     regions = [
         LpBall(p=1.0, r=1.0, d=4),
         LpBall(p=1.5, r=1.0, d=4),
@@ -469,12 +477,10 @@ def check_projection() -> CheckResult:
             x = region.random_boundary(rng) * rng.uniform(1.1, 3.0)
             v = region.project(x)
             if not region.contains(v, tol=1e-9):
-                return _result(
-                    "oracles/projection",
+                return (
                     False,
                     f"projection left the set on {region!r}",
                     "projection feasible",
-                    start,
                 )
             again = region.project(v)
             worst_idem = max(worst_idem, float(np.abs(again - v).max()))
@@ -498,13 +504,9 @@ def check_projection() -> CheckResult:
         best = float(np.sqrt(((grid - x) ** 2).sum(axis=1)).min())
         worst_grid = max(worst_grid, abs(ours - best))
     passed = worst_vi <= 1e-8 and worst_idem <= 1e-10 and worst_grid <= 1e-3
-    return _result(
-        "oracles/projection",
-        passed,
+    return passed, (
         f"worst VI {worst_vi:.2e}, idempotence {worst_idem:.2e}, "
-        f"grid-oracle gap {worst_grid:.2e}",
-        "VI <= 1e-8, idempotent to 1e-10, within 1e-3 of the d=2 grid oracle",
-        start,
+        f"grid-oracle gap {worst_grid:.2e}"
     )
 
 
@@ -545,8 +547,9 @@ def _fd_losses():
     ]
 
 
-def check_gradient_fidelity() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(8, "oracles", "oracles/gradient-fidelity",
+            "<= 1e-5 against central differences (h = 1e-5), 100 points per loss")
+def check_gradient_fidelity():
     rng = np.random.default_rng(8)
     worst = 0.0
     for loss, region in _fd_losses():
@@ -558,14 +561,7 @@ def check_gradient_fidelity() -> CheckResult:
             worst = max(
                 worst, float(np.linalg.norm((g - fd).ravel())) / denom
             )
-    passed = worst <= 1e-5
-    return _result(
-        "oracles/gradient-fidelity",
-        passed,
-        f"worst relative gradient error {worst:.2e}",
-        "<= 1e-5 against central differences (h = 1e-5), 100 points per loss",
-        start,
-    )
+    return worst <= 1e-5, f"worst relative gradient error {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +574,10 @@ def check_gradient_fidelity() -> CheckResult:
 # norm-ratio constant 2 is sharp and cannot be dropped.
 
 
-def check_oracle_lipschitz() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(9, "oracles", "oracles/oracle-lipschitz",
+            "no violations beyond 1e-9 over 2x10^4 random pairs "
+            "(both the normalized-direction and the factor-2 norm-sum forms)")
+def check_oracle_lipschitz():
     rng = np.random.default_rng(21)
     violations = 0
     worst_excess = -math.inf
@@ -598,14 +596,8 @@ def check_oracle_lipschitz() -> CheckResult:
             worst_excess = max(worst_excess, lhs - rhs, lhs - tight)
             if lhs > rhs + 1e-9 or lhs > tight + 1e-9:
                 violations += 1
-    passed = violations == 0
-    return _result(
-        "oracles/oracle-lipschitz",
-        passed,
-        f"{violations} violations, worst excess {worst_excess:.2e}",
-        "no violations beyond 1e-9 over 2x10^4 random pairs "
-        "(both the normalized-direction and the factor-2 norm-sum forms)",
-        start,
+    return violations == 0, (
+        f"{violations} violations, worst excess {worst_excess:.2e}"
     )
 
 
@@ -613,8 +605,9 @@ def check_oracle_lipschitz() -> CheckResult:
 # criterion 10: perturbed-gradient floor and sphere moment
 
 
-def check_perturbation_floor() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(10, "oracles", "oracles/perturbation-floor",
+            "floor violation rates <= delta + 0.02; |E[xi_1^2] - 1/d| <= 3e-3")
+def check_perturbation_floor():
     rng = np.random.default_rng(33)
     d = 10
     resamples = 100_000
@@ -631,13 +624,7 @@ def check_perturbation_floor() -> CheckResult:
         lines.append(f"delta {delta}: norm rate {norm_rate:.4f}, coord rate {coord_rate:.4f}")
         if norm_rate > delta + 0.02 or coord_rate > delta + 0.02:
             ok = False
-    return _result(
-        "oracles/perturbation-floor",
-        ok,
-        f"moment error {moment_err:.2e}; " + "; ".join(lines),
-        "floor violation rates <= delta + 0.02; |E[xi_1^2] - 1/d| <= 3e-3",
-        start,
-    )
+    return ok, f"moment error {moment_err:.2e}; " + "; ".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +634,9 @@ def check_perturbation_floor() -> CheckResult:
 _ECONOMY_ITERS = 6000
 
 
-def check_iteration_economy() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(11, "convex", "convex/iteration-economy",
+            "PA < FW, PA <= GD, cost ratio <= 2")
+def check_iteration_economy():
     prob = lsq_boundary_problem()
     pa_trace = pa_run(
         prob.loss, prob.region, option="A", iters=_ECONOMY_ITERS,
@@ -687,13 +675,9 @@ def check_iteration_economy() -> CheckResult:
         and pa_iters <= gd_iters
         and cost_ratio <= 2.0
     )
-    return _result(
-        "convex/iteration-economy",
-        passed,
-        f"2%-convergence iterations PA {pa_iters}, FW {fw_iters}, tuned GD {gd_iters}; "
-        f"per-iteration cost ratio {cost_ratio:.2f}",
-        "PA < FW, PA <= GD, cost ratio <= 2",
-        start,
+    return passed, (
+        f"2%-convergence iterations PA {pa_iters}, FW {fw_iters}, "
+        f"tuned GD {gd_iters}; per-iteration cost ratio {cost_ratio:.2f}"
     )
 
 
@@ -726,8 +710,9 @@ def _determinism_traces(tmp: str, tag: int):
     return paths
 
 
-def check_determinism() -> CheckResult:
-    start = time.perf_counter()
+@_criterion(12, "convex", "convex/determinism",
+            "reruns with identical seeds produce byte-identical trace files")
+def check_determinism():
     with tempfile.TemporaryDirectory() as tmp:
         first = _determinism_traces(tmp, 0)
         second = _determinism_traces(tmp, 1)
@@ -736,67 +721,27 @@ def check_determinism() -> CheckResult:
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 if fa.read() != fb.read():
                     mismatched.append(os.path.basename(a))
-    passed = not mismatched
-    return _result(
-        "convex/determinism",
-        passed,
-        "all trace files byte-identical" if passed else f"mismatches: {mismatched}",
-        "reruns with identical seeds produce byte-identical trace files",
-        start,
-    )
+    if mismatched:
+        return False, f"mismatches: {mismatched}"
+    return True, "all trace files byte-identical"
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
-
-CRITERIA = {
-    1: check_pa_rate,
-    2: check_fw_rate,
-    3: check_nonconvex_gap,
-    4: check_quasi_neighborhood,
-    5: check_spa_parity,
-    6: check_lmo_optimality,
-    7: check_projection,
-    8: check_gradient_fidelity,
-    9: check_oracle_lipschitz,
-    10: check_perturbation_floor,
-    11: check_iteration_economy,
-    12: check_determinism,
-}
-
-SUITES = {
-    "convex": [1, 2, 5, 11, 12],
-    "quasi": [4],
-    "nonconvex": [3],
-    "oracles": [6, 7, 8, 9, 10],
-    "all": list(range(1, 13)),
-}
-
-
-def suite_thread_count(requested=None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("PROJFREE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(
-                f"PROJFREE_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return max(1, min(4, os.cpu_count() or 1))
+# runner
 
 
 def run_suite(name: str, threads=None, echo=None):
     """Run the named suite; returns (results, all_passed).
 
-    Checks run concurrently up to the thread cap; result lines are emitted
-    through a single lock-guarded writer as checks finish.
+    Checks run concurrently on up to `threads` workers (default: the CPU
+    count, at most 4); result lines are emitted through a single lock-guarded
+    writer as checks finish.
     """
     if name not in SUITES:
         raise KeyError(name)
     numbers = SUITES[name]
-    workers = min(suite_thread_count(threads), len(numbers))
+    cap = min(4, os.cpu_count() or 1) if threads is None else int(threads)
+    workers = max(1, min(cap, len(numbers)))
     lock = threading.Lock()
     results = {}
 

@@ -6,6 +6,10 @@ shows the twelve verdicts inline.  Each check builds its own runs; only the
 boundary least-squares problem, which five checks share, is cached.
 """
 
+import numpy as np
+import pytest
+
+from projfree.feasible_sets import LpBall
 from projfree.suites import CRITERIA, SUITES
 
 
@@ -65,8 +69,27 @@ def test_c12_reruns_are_byte_identical(capsys):
 
 
 def test_suite_registry_covers_every_check():
-    assert sorted(SUITES["all"]) == sorted(CRITERIA) == list(range(1, 13))
-    named = set()
-    for nums in SUITES.values():
-        named.update(nums)
-    assert named == set(CRITERIA)
+    assert list(CRITERIA) == list(range(1, 13))
+    assert SUITES == {
+        "convex": [1, 2, 5, 11, 12],
+        "quasi": [4],
+        "nonconvex": [3],
+        "oracles": [6, 7, 8, 9, 10],
+        "all": list(range(1, 13)),
+    }
+
+@pytest.mark.parametrize("num, method, measured, required", [
+    (6, "lmo", "infeasible oracle answer on LpBall(p=1.0", "oracle answers feasible"),
+    (7, "project", "projection left the set on LpBall(p=1.0", "projection feasible"),
+])
+def test_precondition_exit_states_its_own_requirement(
+    num, method, measured, required, monkeypatch
+):
+    def outside(self, x):
+        return np.full(self.shape, 2.0 * self.r)
+
+    monkeypatch.setattr(LpBall, method, outside)
+    res = CRITERIA[num]()
+    assert not res.passed
+    assert res.measured.startswith(measured)
+    assert res.required == required

@@ -5,8 +5,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from projfree import cli
+from projfree import cli, suites
 from projfree.cli import main
+from projfree.suites import CheckResult
 from projfree.trace import Trace, read_trace, write_trace
 
 
@@ -444,3 +445,22 @@ def test_suite_nonconvex_passes(runner):
     assert result.exit_code == 0, result.output
     assert "PASS" in result.output
     assert "suite nonconvex: 1/1 passed" in result.output
+
+
+def test_suite_failed_check_exits_1(runner, monkeypatch):
+    failing = CheckResult("nonconvex/gap-rate", False, "x", "y", 0.0)
+    monkeypatch.setitem(suites.CRITERIA, 3, lambda: failing)
+    result = runner.invoke(main, ["suite", "nonconvex"])
+    assert result.exit_code == 1, result.output
+    assert "FAIL nonconvex/gap-rate" in result.output
+    assert "suite nonconvex: 0/1 passed" in result.output
+
+
+def test_suite_error_inside_a_check_is_not_a_usage_error(runner, monkeypatch):
+    def broken():
+        raise ValueError("bad value inside a check")
+
+    monkeypatch.setitem(suites.CRITERIA, 3, broken)
+    result = runner.invoke(main, ["suite", "nonconvex"])
+    assert result.exit_code != 2
+    assert isinstance(result.exception, ValueError)

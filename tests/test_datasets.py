@@ -198,12 +198,6 @@ def test_regression_noiseless_targets_are_exact():
     np.testing.assert_array_equal(data.targets, data.features @ w_true)
 
 
-def test_regression_bias_shifts_targets():
-    spec = SyntheticSpec(kind="regression", n=30, d=4, noise=0.0, seed=1, bias=0.5)
-    data, w_true = gen_regression(spec)
-    np.testing.assert_array_equal(data.targets, data.features @ w_true + 0.5)
-
-
 def test_regression_planted_norm():
     spec = SyntheticSpec(kind="regression", n=10, d=7, seed=2, w_norm=2.0)
     _, w_true = gen_regression(spec)

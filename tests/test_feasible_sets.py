@@ -190,6 +190,26 @@ def test_lmo_subnormal_cost_lands_on_the_boundary(p):
         np.testing.assert_array_equal(np.sign(v), -np.sign(c))
 
 
+def _subnormal_group_costs():
+    yield 2.0, 2.0, np.array([[5e-324, 5e-324], [0.0, 5e-324]])
+    c = np.full((3, 4), 5e-324)
+    c[1, 2] = 1e-320
+    yield 3.0, 2.0, c
+    yield 2.0, 1.5, c
+
+
+@pytest.mark.parametrize("p, q, c", _subnormal_group_costs())
+def test_group_lmo_subnormal_cost_lands_on_the_boundary(p, q, c):
+    # Subnormal row norms keep a few bits unless the cost is rescaled first.
+    ball = GroupLpqBall(p=p, q=q, r=1.0, m=c.shape[0], n=c.shape[1])
+    v = ball.lmo(c)
+    assert ball.contains(v, tol=1e-9)
+    # The oracle is scale-invariant; check duality on the exactly rescaled
+    # cost, whose products do not underflow.
+    u = np.ldexp(c, 1022)
+    assert float(np.vdot(v, u)) == pytest.approx(-ball.dual_norm(u), rel=1e-9)
+
+
 def _unit_maximizer(c: np.ndarray, p: float) -> np.ndarray:
     """Unit-l_p vector u maximizing <u, c>, straight from Holder's equality
     case; zero for c = 0 and lowest index on p = 1 ties."""
@@ -524,7 +544,6 @@ def test_strong_convexity_rejects_flat_exponents():
 
 
 def test_diameters():
-    assert LpBall(p=1.5, r=2.0, d=9).diameter() == pytest.approx(4.0)
     # p <= 2 balls sit inside the l_2 ball of the same radius
     assert LpBall(p=1.5, r=2.0, d=9).euclidean_diameter() == pytest.approx(4.0)
     assert LpBall(p=3.0, r=2.0, d=4).euclidean_diameter() == pytest.approx(

@@ -54,7 +54,7 @@ def _matrix_loss():
 
 
 def _tilted(loss, region):
-    return make_perturbed(loss, 0.5, region.diameter(), 0.1,
+    return make_perturbed(loss, 0.5, region.euclidean_diameter(), 0.1,
                           np.random.default_rng(13))
 
 
