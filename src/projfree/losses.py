@@ -1,8 +1,10 @@
 """Loss functions over tabular and partially observed matrix data.
 
-Every loss exposes evaluate(w), gradient(w), stochastic_gradient(w, idx) and
-smoothness().  The stochastic form returns (N / |idx|) * sum of per-sample
-gradients so that the full index set reproduces gradient(w) exactly.
+Every loss exposes evaluate(w), gradient(w), value_and_gradient(w),
+stochastic_gradient(w, idx) and smoothness().  value_and_gradient(w) gives
+the bits of the two separate calls from one margin or residual pass.  The
+stochastic form returns (N / |idx|) * sum of per-sample gradients so that
+the full index set reproduces gradient(w) exactly.
 smoothness() is a proven global bound on the gradient's Lipschitz constant
 in the Euclidean norm, from a closed form for each loss.
 """
@@ -54,17 +56,13 @@ class ObservedMatrix:
                 f"mask shape {self.mask.shape} does not match values shape "
                 f"{self.values.shape}"
             )
-        self.observed = np.argwhere(self.mask)
-        if self.observed.shape[0] == 0:
+        self.n_observed = int(np.count_nonzero(self.mask))
+        if self.n_observed == 0:
             raise ValueError("ObservedMatrix needs at least one observed entry")
 
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def n_observed(self) -> int:
-        return self.observed.shape[0]
 
 
 class Loss:
@@ -80,6 +78,10 @@ class Loss:
 
     def gradient(self, w) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_gradient(self, w):
+        """(evaluate(w), gradient(w)); overrides compute the shared part once."""
+        return self.evaluate(w), self.gradient(w)
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         raise NotImplementedError
@@ -155,6 +157,11 @@ class _TabularLoss(Loss):
 
     def gradient(self, w) -> np.ndarray:
         return self._x.T @ self._dmargin(self._margins(w), self._y)
+
+    def value_and_gradient(self, w):
+        m = self._margins(w)
+        return (float(np.sum(self._values(m, self._y))),
+                self._x.T @ self._dmargin(m, self._y))
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
@@ -237,22 +244,38 @@ class QuadraticLoss(_TabularLoss):
             self._gram, self._xty = x.T @ x, x.T @ self._y
 
     def _residuals(self, w) -> np.ndarray:
-        m = self._margins(w)
+        """x_i.w + b - y_i, b the profiled intercept, for a checked w; in place."""
+        r = self._x @ w
         if self.bias:
-            b = float(np.mean(self._y - m))
-            return m + b - self._y
-        return m - self._y
+            r += float(np.mean(self._y - r))
+        r -= self._y
+        return r
+
+    def _gradient(self, w, r=None) -> np.ndarray:
+        """2 (G w - b) in the Gram form, else 2 X^T r with r the residual at
+        the checked model w (computed when not given)."""
+        if self._gram is not None:
+            g = self._gram @ w
+            g -= self._xty
+        else:
+            # With the intercept at its exact minimizer the partial in b
+            # vanishes, so the chain rule reduces to the residual pullback.
+            g = self._x.T @ (self._residuals(w) if r is None else r)
+        g *= 2.0
+        return g
 
     def evaluate(self, w) -> float:
-        r = self._residuals(w)
+        r = self._residuals(self._model(w))
         return float(r @ r)
 
     def gradient(self, w) -> np.ndarray:
-        if self._gram is not None:
-            return 2.0 * (self._gram @ self._model(w) - self._xty)
-        # With the intercept at its exact minimizer the partial in b vanishes,
-        # so the chain rule reduces to the plain residual pullback.
-        return 2.0 * (self._x.T @ self._residuals(w))
+        return self._gradient(self._model(w))
+
+    def value_and_gradient(self, w):
+        # No buffer is kept on the loss: threads may share one instance.
+        w = self._model(w)
+        r = self._residuals(w)
+        return float(r @ r), self._gradient(w, r)
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
@@ -268,8 +291,8 @@ class QuadraticLoss(_TabularLoss):
     def _chord(self, w, v):
         # The residual, profiled intercept included, is affine in the model,
         # so on the chord it is r + gamma * dr and phi is a parabola.
-        r = self._residuals(w)
-        dr = self._residuals(v) - r
+        r = self._residuals(self._model(w))
+        dr = self._residuals(self._model(v)) - r
 
         def phi(gamma):
             rg = r + gamma * dr
@@ -326,12 +349,17 @@ class BiWeightLoss(_TabularLoss):
 
 
 class ObservedQuadraticLoss(Loss):
-    """sum over observed entries (W_ij - M_ij)^2 for matrix completion."""
+    """sum over observed entries (W_ij - M_ij)^2 for matrix completion.
+
+    The observed entries' flat indices and values are snapshotted at
+    construction, as QuadraticLoss does G and b."""
 
     def __init__(self, observed: ObservedMatrix):
         self.observed = observed
         self.n_samples = observed.n_observed
         self.shape = observed.shape
+        self._idx = np.flatnonzero(observed.mask)  # row-major order
+        self._vals = observed.values.ravel()[self._idx]
 
     def _check(self, w) -> np.ndarray:
         w = as_matrix(w)
@@ -339,29 +367,32 @@ class ObservedQuadraticLoss(Loss):
             raise ValueError(f"expected model of shape {self.shape}, got {w.shape}")
         return w
 
+    def _diff(self, w) -> np.ndarray:
+        """W_ij - M_ij over the observed entries, in row-major order."""
+        return self._check(w).ravel()[self._idx] - self._vals
+
+    def _spread(self, diff) -> np.ndarray:
+        g = np.zeros(self.shape)
+        g.flat[self._idx] = 2.0 * diff
+        return g
+
     def evaluate(self, w) -> float:
-        w = self._check(w)
-        diff = (w - self.observed.values)[self.observed.mask]
+        diff = self._diff(w)
         return float(diff @ diff)
 
     def gradient(self, w) -> np.ndarray:
-        w = self._check(w)
-        g = np.zeros(self.shape)
-        mask = self.observed.mask
-        g[mask] = 2.0 * (w[mask] - self.observed.values[mask])
-        return g
+        return self._spread(self._diff(w))
+
+    def value_and_gradient(self, w):
+        diff = self._diff(w)
+        return float(diff @ diff), self._spread(diff)
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         w = self._check(w)
         idx = self._check_indices(indices)
-        rows = self.observed.observed[idx, 0]
-        cols = self.observed.observed[idx, 1]
+        flat = self._idx[idx]
         g = np.zeros(self.shape)
-        np.add.at(
-            g,
-            (rows, cols),
-            2.0 * (w[rows, cols] - self.observed.values[rows, cols]),
-        )
+        np.add.at(g.ravel(), flat, 2.0 * (w.ravel()[flat] - self._vals[idx]))
         return (self.n_samples / idx.size) * g
 
     def smoothness(self) -> float:

@@ -13,7 +13,9 @@ is recorded, the batch size (None for a full gradient), the time of its
 oracle call or projection (None when not `timed` or not made) and the times
 of what it reused from `at_w`.  Past w_0, `at_w` holds the base loss's
 gradient at w and its oracle vertex, computed once by the driver for the
-gap: FW and GD reuse the gradient (plus any tilt), untilted FW the vertex.
+record: one `value_and_gradient` call gives the loss value and the gradient
+the gap needs.  FW and GD reuse that gradient (plus any tilt), untilted FW
+the vertex too.
 A new gradient is checked with `_guard_finite` before its oracle call.
 
 Conventions shared by every run function:
@@ -26,7 +28,8 @@ Conventions shared by every run function:
   final point are checked for feasibility.
 * timings are only collected (and serialized) when record_timings is set; a
   default run is bit-deterministic given its seed.  `step_ms` and
-  `oracle_ms` include the gradient and oracle call the update reused.
+  `oracle_ms` include the value-and-gradient and oracle call the update
+  reused.
 """
 
 import math
@@ -271,7 +274,7 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
             record_timings, update, t, w, at_w, rng, record_timings
         )
         w = snap.w
-        f_val = base.evaluate(w)
+        (f_val, g), g_ms = _timed(record_timings, base.value_and_gradient, w)
         if not math.isfinite(f_val):
             raise NumericFailure(f"non-finite loss at iteration {t}")
         # PerturbedLoss.evaluate's sum, reusing f_val instead of a second
@@ -282,7 +285,6 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         direction_norm = math.sqrt(float(np.vdot(direction, direction)))
         if not math.isfinite(direction_norm):
             raise DivergenceError(f"non-finite direction norm at iteration {t}", t)
-        g, g_ms = _timed(record_timings, base.gradient, w)
         v, v_ms = _timed(record_timings, region.lmo, _guard_finite(g, t))
         at_w = (g, v, g_ms, v_ms)
         trace.append(

@@ -78,20 +78,24 @@ class Trace:
         return list(self.rows()) == list(other.rows())
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+_BLOCK = 512  # rows formatted at once; a whole trace as text costs memory
 
 
 def write_trace(trace: Trace, path) -> None:
+    """The bytes csv.writer gives for the cells repr(float), str(int) and ""
+    for None with CRLF line ends; no cell of a trace needs quoting."""
+    formats = [float.__repr__ if kind is float else str for _, kind, _ in _COLUMNS]
+    columns = [getattr(trace, name) for name in CSV_HEADER]
+    n = min(map(len, columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in trace.rows():
-            writer.writerow([_cell(v) for v in row])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for lo in range(0, n, _BLOCK):
+            cells = [
+                ["" if v is None else fmt(v) for v in col[lo : lo + _BLOCK]]
+                if optional else list(map(fmt, col[lo : lo + _BLOCK]))
+                for col, fmt, (_, _, optional) in zip(columns, formats, _COLUMNS)
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_trace(path) -> Trace:

@@ -1,5 +1,7 @@
 """End-to-end command tests through an in-process click runner."""
 
+import csv
+
 import numpy as np
 import pytest
 import yaml
@@ -8,7 +10,7 @@ from click.testing import CliRunner
 from projfree import cli, suites
 from projfree.cli import main
 from projfree.suites import CheckResult
-from projfree.trace import Trace, read_trace, write_trace
+from projfree.trace import CSV_HEADER, Trace, read_trace, write_trace
 
 
 @pytest.fixture()
@@ -406,6 +408,26 @@ def test_read_trace_rejects_bad_rows(runner, tmp_path, row):
     result = runner.invoke(main, ["slope", str(path)])
     assert result.exit_code == 2
     assert "could not read" in result.stderr
+
+
+def test_write_trace_matches_csv_writer_bytes(tmp_path):
+    # Over 1024 rows, so the last formatted block is a partial one.
+    extremes = [-0.0, 5e-324, 1e308, -1e-308, float("inf"), 0.1]
+    tr = Trace()
+    for t in range(1, 1100):
+        x = extremes[t % len(extremes)]
+        tr.append(t, x, None if t % 3 else -x, 1.0 / t, x, None if t % 2 else t,
+                  abs(x), step_ms=None if t % 5 else x, oracle_ms=x)
+    path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    write_trace(tr, path)
+    with open(ref, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(CSV_HEADER)
+        for row in tr.rows():
+            out.writerow(["" if v is None else str(v) if isinstance(v, int)
+                          else repr(v) for v in row])
+    assert path.read_bytes() == ref.read_bytes()
+    assert read_trace(path).records_equal(tr)
 
 
 def test_slope_missing_file(runner, tmp_path):

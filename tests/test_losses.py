@@ -5,6 +5,8 @@ aggregate is checked for exact full-batch recovery and Monte-Carlo
 unbiasedness.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,38 @@ def test_chord_matches_evaluate_and_gradient(gamma):
         name = type(getattr(loss, "base", loss)).__name__
         assert phi(gamma) == pytest.approx(value, rel=1e-12, abs=0.0), name
         assert dphi(gamma) == pytest.approx(slope, rel=1e-12, abs=0.0), name
+
+
+def test_value_and_gradient_matches_separate_calls_bit_for_bit():
+    rng = np.random.default_rng(22)
+    bases = list(_all_losses())
+    tilted = make_perturbed(bases[0], 0.5, 2.0, 0.1, rng)
+    for loss in bases + [tilted]:
+        for _ in range(5):
+            w = 0.7 * rng.standard_normal(loss.shape)
+            f, g = loss.value_and_gradient(w)
+            name = type(getattr(loss, "base", loss)).__name__
+            assert type(f) is float, name
+            assert f == loss.evaluate(w), name
+            np.testing.assert_array_equal(g, loss.gradient(w), err_msg=name)
+
+
+def test_residual_value_and_gradient_allocates_one_vector_of_each_length():
+    # The residual form keeps one n-vector and one d-vector alive and no
+    # buffer on the loss, which threads may share.
+    n, d = 2000, 1000
+    loss = QuadraticLoss(_toy_tabular(n, d, 23))
+    assert loss._gram is None
+    w = np.random.default_rng(24).standard_normal(d)
+    loss.value_and_gradient(w)  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        loss.value_and_gradient(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + d) + 1024
 
 
 def _sigmoid_masked(z):
@@ -290,6 +324,20 @@ def test_stochastic_gradient_index_validation():
         loss.stochastic_gradient(w, [8])
     with pytest.raises(ValueError):
         loss.stochastic_gradient(w, [-1])
+
+
+def test_observed_quadratic_matches_boolean_mask_form_bit_for_bit():
+    obs = _toy_observed(25)
+    loss = ObservedQuadraticLoss(obs)
+    mask, values = obs.mask, obs.values
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        w = rng.standard_normal(obs.shape)
+        diff = (w - values)[mask]
+        assert loss.evaluate(w) == float(diff @ diff)
+        want = np.zeros(obs.shape)
+        want[mask] = 2.0 * (w[mask] - values[mask])
+        np.testing.assert_array_equal(loss.gradient(w), want)
 
 
 def test_observed_quadratic_stochastic_scaling():

@@ -5,6 +5,8 @@ recorded snapshots and verify the defining recurrences.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -659,7 +661,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     base, region, _ = _interior_problem()
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
     counts = {}
-    _count_calls(monkeypatch, base, ["evaluate", "gradient"], counts)
+    _count_calls(monkeypatch, base, ["evaluate", "gradient", "value_and_gradient"],
+                 counts)
     _count_calls(monkeypatch, region, ["lmo", "contains"], counts)
     iters, init, rng = 12, np.zeros(3), np.random.default_rng(3)
     runs = {
@@ -674,7 +677,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     # Full gradient and lmo calls: the gap makes one of each per iteration,
     # and FW and GD reuse its gradient (untilted FW its vertex too).  SPA
     # takes a full gradient for each step whose batch is every sample.  The
-    # record evaluates the base loss once, also under a tilt.
+    # record's gradient comes with the base loss's value from one
+    # value_and_gradient call, also under a tilt.
     full_batches = sum(spa_batch_size(t, base.n_samples) == base.n_samples
                        for t in range(1, iters + 1))
     expected = {
@@ -686,8 +690,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     }
     runs[kind]()
     gradient, lmo = expected[kind]
-    assert counts == {"evaluate": iters, "gradient": gradient, "lmo": lmo,
-                      "contains": 2}
+    assert counts == {"evaluate": 0, "value_and_gradient": iters,
+                      "gradient": gradient - iters, "lmo": lmo, "contains": 2}
 
 
 def test_pa_on_schatten_ball_makes_two_svds_per_iteration(monkeypatch):
@@ -713,17 +717,22 @@ def test_step_ms_includes_the_reused_gradient_and_oracle_call(monkeypatch):
     clock = [0.0]
     monkeypatch.setattr(optimizers.time, "perf_counter", lambda: clock[0])
     base, region, _ = _interior_problem()
-    gradient, lmo = base.gradient, region.lmo
+    lmo = region.lmo
 
-    def slow_gradient(w):
-        clock[0] += 0.005
-        return gradient(w)
+    def slowed(fn):
+        def slow(w):
+            clock[0] += 0.005
+            return fn(w)
+        return slow
 
     def slow_lmo(c):
         clock[0] += 0.001
         return lmo(c)
 
-    monkeypatch.setattr(base, "gradient", slow_gradient)
+    # The step from w_0 takes a gradient; later steps reuse the run loop's
+    # value_and_gradient call.
+    for name in ("gradient", "value_and_gradient"):
+        monkeypatch.setattr(base, name, slowed(getattr(base, name)))
     monkeypatch.setattr(region, "lmo", slow_lmo)
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
     for loss in (base, tilted):
@@ -776,6 +785,30 @@ def test_runs_are_deterministic():
     c = spa_run(loss, region, iters=30, rng=np.random.default_rng(43))
     d = spa_run(loss, region, iters=30, rng=np.random.default_rng(43))
     assert c.records_equal(d)
+
+
+def test_threads_sharing_one_wide_loss_match_a_serial_run():
+    # The suite's thread pool shares cached problems, so a loss may keep no
+    # per-call buffer: numpy releases the interpreter lock inside matmul.
+    data, _ = gen_regression(SyntheticSpec(kind="regression", n=400, d=100, seed=9))
+    loss = QuadraticLoss(data)
+    assert loss._gram is None
+    region = LpBall(p=1.5, r=1.0, d=100)
+
+    def run():
+        return fw_run(loss, region, PredefinedDecay(), iters=150,
+                      rng=np.random.default_rng(10))
+
+    serial = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            traces = [f.result(timeout=120) for f in
+                      [pool.submit(run) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(trace.records_equal(serial) for trace in traces)
 
 
 def test_timings_toggle():
