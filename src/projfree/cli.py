@@ -345,8 +345,8 @@ def run_from_config(cfg: dict, overrides=None):
     The whole config is checked before anything is built.  overrides may
     replace optimizer.iters ("iters"), optimizer.seed ("seed") and
     output.trace ("out"), and turn on output.timings ("timings").  info
-    carries the pieces the summary printer needs: the region, whether the
-    objective was perturbed, and the analysis settings.
+    carries the pieces the summary printer needs: the run's label, whether
+    the objective was perturbed, the trace path and the analysis settings.
     """
     cfg = _read("config", cfg, _CONFIG)
     opt, pert, out = cfg["optimizer"], cfg["perturbation"], cfg["output"]
@@ -423,7 +423,7 @@ def run_from_config(cfg: dict, overrides=None):
                                   sqrt_decay=opt["sqrt_decay"])
         label = "sgd"
 
-    info = {"label": label, "region": region, "perturbed": pert["enabled"],
+    info = {"label": label, "perturbed": pert["enabled"],
             "trace_path": trace_path, **cfg["analysis"]}
     return trace, info
 

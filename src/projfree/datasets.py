@@ -1,9 +1,9 @@
 """Dataset loaders and seeded synthetic generators.
 
 Loaders parse delimited numeric text, sparse index:value rows, and
-user,item,rating triples into dense arrays, rejecting malformed input with
-positional error messages.  Generators produce regression, classification,
-and low-rank completion problems from a SyntheticSpec.
+user,item,rating triples into dense arrays; messages for malformed input
+name the file line.  Generators produce regression, classification, and
+low-rank completion problems from a SyntheticSpec.
 """
 
 from dataclasses import dataclass
@@ -29,30 +29,35 @@ def _split_row(line: str):
     return line.split(",") if "," in line else line.split()
 
 
+def _lines(path):
+    """(file line number, stripped text) for each non-blank line of path."""
+    with open(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield i, line
+
+
 def load_delimited(path, target_column: int, has_header: bool = False) -> TabularDataset:
     """Numeric comma- or whitespace-delimited text; one column is the target.
 
     Rows must all have the same width; target_column is 0-based.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if has_header and lines:
-        lines = lines[1:]
+    lines = list(_lines(path))[int(has_header):]
     if not lines:
         raise ValueError(f"{path}: no data rows")
-    width = len(_split_row(lines[0]))
+    width = len(_split_row(lines[0][1]))
     if not (0 <= target_column < width):
         raise ValueError(
             f"{path}: target column {target_column} out of range for "
             f"{width}-column rows"
         )
     feats, targets = [], []
-    for i, line in enumerate(lines, start=1 + int(has_header)):
+    for i, line in lines:
         cells = _split_row(line)
         if len(cells) != width:
             raise ValueError(
-                f"{path}: row {i} has {len(cells)} cells, expected {width}"
+                f"{path}:{i}: row has {len(cells)} cells, expected {width}"
             )
         vals = [_numeric(c.strip(), f"{path}:{i}") for c in cells]
         targets.append(vals.pop(target_column))
@@ -68,37 +73,33 @@ def load_libsvm(path) -> TabularDataset:
     rows = []
     labels = []
     max_index = 0
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            labels.append(_numeric(parts[0], f"{path}:{i} (label)"))
-            entries = []
-            prev = 0
-            for tok in parts[1:]:
-                if ":" not in tok:
-                    raise ValueError(f"{path}:{i}: malformed pair {tok!r}")
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{i}: non-integer feature index {idx_s!r}"
-                    ) from None
-                if idx < 1:
-                    raise ValueError(
-                        f"{path}:{i}: feature indices are 1-based, got {idx}"
-                    )
-                if idx <= prev:
-                    raise ValueError(
-                        f"{path}:{i}: feature indices must be ascending, got {idx}"
-                    )
-                prev = idx
-                entries.append((idx, _numeric(val_s, f"{path}:{i} (index {idx})")))
-            max_index = max(max_index, prev)
-            rows.append(entries)
+    for i, line in _lines(path):
+        parts = line.split()
+        labels.append(_numeric(parts[0], f"{path}:{i} (label)"))
+        entries = []
+        prev = 0
+        for tok in parts[1:]:
+            if ":" not in tok:
+                raise ValueError(f"{path}:{i}: malformed pair {tok!r}")
+            idx_s, val_s = tok.split(":", 1)
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{i}: non-integer feature index {idx_s!r}"
+                ) from None
+            if idx < 1:
+                raise ValueError(
+                    f"{path}:{i}: feature indices are 1-based, got {idx}"
+                )
+            if idx <= prev:
+                raise ValueError(
+                    f"{path}:{i}: feature indices must be ascending, got {idx}"
+                )
+            prev = idx
+            entries.append((idx, _numeric(val_s, f"{path}:{i} (index {idx})")))
+        max_index = max(max_index, prev)
+        rows.append(entries)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     x = np.zeros((len(rows), max_index))
@@ -118,27 +119,23 @@ def load_ratings(path) -> ObservedMatrix:
     seen = {}
     max_u = 0
     max_i = 0
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = _split_row(line)
-            if len(cells) != 3:
-                raise ValueError(
-                    f"{path}:{i}: expected user,item,rating, got {len(cells)} cells"
-                )
-            try:
-                user = int(cells[0])
-                item = int(cells[1])
-            except ValueError:
-                raise ValueError(f"{path}:{i}: non-integer user/item id") from None
-            if user < 1 or item < 1:
-                raise ValueError(f"{path}:{i}: ids must be positive, got {user},{item}")
-            rating = _numeric(cells[2], f"{path}:{i} (rating)")
-            seen[(user - 1, item - 1)] = rating
-            max_u = max(max_u, user)
-            max_i = max(max_i, item)
+    for i, line in _lines(path):
+        cells = _split_row(line)
+        if len(cells) != 3:
+            raise ValueError(
+                f"{path}:{i}: expected user,item,rating, got {len(cells)} cells"
+            )
+        try:
+            user = int(cells[0])
+            item = int(cells[1])
+        except ValueError:
+            raise ValueError(f"{path}:{i}: non-integer user/item id") from None
+        if user < 1 or item < 1:
+            raise ValueError(f"{path}:{i}: ids must be positive, got {user},{item}")
+        rating = _numeric(cells[2], f"{path}:{i} (rating)")
+        seen[(user - 1, item - 1)] = rating
+        max_u = max(max_u, user)
+        max_i = max(max_i, item)
     if not seen:
         raise ValueError(f"{path}: no ratings")
     values = np.zeros((max_u, max_i))

@@ -1,12 +1,12 @@
 """Run diagnostics: Frank-Wolfe gap, log-log slope fits, convergence
 detection, and closed-form iteration/rate bounds."""
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .perturbation import gradient_norm_floor
 from .trace import Trace
 
 # Values at or below zero cannot enter a log-log fit; they are clipped here
@@ -150,15 +150,11 @@ def quasi_convex_budget(
 def nonconvex_gap_constant(
     alpha: float, delta: float, smoothness: float, d: int
 ) -> float:
-    """C' = alpha * delta * sqrt(pi) / (8 * L * sqrt(2 d)): the per-step
+    """C' = alpha * gradient_norm_floor(delta, d) / (8 * L): the per-step
     progress constant of short-step runs on perturbed non-convex losses."""
     if alpha <= 0.0 or smoothness <= 0.0:
         raise ValueError("alpha and smoothness must be > 0")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return alpha * delta * math.sqrt(math.pi) / (8.0 * smoothness * math.sqrt(2.0 * d))
+    return alpha * gradient_norm_floor(delta, d) / (8.0 * smoothness)
 
 
 def nonconvex_rate_bound(

@@ -4,6 +4,7 @@ Each set exposes a closed-form linear minimization oracle (lmo), a Euclidean
 projection for exponents in [1, 2] or inf (closed form, or safeguarded Newton
 on the KKT multiplier for 1 < p < 2), its strong-convexity parameter,
 diameters and membership tests.  Oracles are deterministic on ties and zeros.
+Arguments go through numerics.as_shaped, group row norms through _row_norms.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import NumericFailure
-from .numerics import as_matrix, as_vector, lp_norm, svd
+from .numerics import as_shaped, lp_norm, svd
 
 # Points whose set-norm is within this relative slack of the radius are
 # treated as already feasible by project().
@@ -63,14 +64,20 @@ def _lp_strong_convexity(p: float, r: float) -> float:
 
 
 def _project_simplex(a: np.ndarray, r: float) -> np.ndarray:
-    """Euclidean projection of a >= 0 onto the simplex {x >= 0, sum x = r}."""
+    """Euclidean projection of a >= 0, sum a > r, onto {x >= 0, sum x = r}.
+
+    With u = a sorted descending and s_j = sum_{i<j} (u_i - u_j), the top
+    rho entries stay positive, rho the last j with s_j < r (s_1 = 0, so
+    rho >= 1), and each becomes u_i - u_rho + (r - s_rho) / rho.  s is summed
+    from the gaps between sorted values, so r is not lost next to u_1
+    whatever their ratio.
+    """
     u = np.sort(a)[::-1]
-    css = np.cumsum(u) - r
-    idx = np.arange(1, a.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(a - theta, 0.0)
+    s = np.zeros(a.size)
+    s[1:] = np.cumsum(np.arange(1, a.size) * (u[:-1] - u[1:]))
+    rho = int(np.count_nonzero(s < r))
+    top = u[rho - 1]
+    return np.where(a >= top, (a - top) + (r - s[rho - 1]) / rho, 0.0)
 
 
 def _lp_magnitudes(a: np.ndarray, p: float, lam: float, s: np.ndarray):
@@ -149,12 +156,6 @@ class FeasibleSet:
     r: float
     shape: tuple
 
-    def _check(self, x) -> np.ndarray:
-        w = as_vector(x) if len(self.shape) == 1 else as_matrix(x)
-        if w.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {w.shape}")
-        return w
-
     def norm(self, x) -> float:
         raise NotImplementedError
 
@@ -217,13 +218,13 @@ class LpBall(FeasibleSet):
         return f"LpBall(p={self.p}, r={self.r}, d={self.d})"
 
     def norm(self, x) -> float:
-        return lp_norm(self._check(x), self.p)
+        return lp_norm(as_shaped(x, self.shape), self.p)
 
     def dual_norm(self, c) -> float:
-        return lp_norm(self._check(c), _conjugate(self.p))
+        return lp_norm(as_shaped(c, self.shape), _conjugate(self.p))
 
     def lmo(self, c) -> np.ndarray:
-        c = self._check(c)
+        c = as_shaped(c, self.shape)
         if self.p == 2.0:
             # Closed form while ||c||^2 is a normal float; zero, subnormal
             # and overflowing squares take the rescaled path.  vdot, unlike
@@ -236,7 +237,7 @@ class LpBall(FeasibleSet):
         return -self.r * _max_unit_vector(c, self.p)
 
     def project(self, x) -> np.ndarray:
-        return _project_lp_vector(self._check(x), self.p, self.r)
+        return _project_lp_vector(as_shaped(x, self.shape), self.p, self.r)
 
     def strong_convexity(self) -> float:
         return _lp_strong_convexity(self.p, self.r)
@@ -266,21 +267,23 @@ class SchattenPBall(FeasibleSet):
         return f"SchattenPBall(p={self.p}, r={self.r}, m={self.m}, n={self.n})"
 
     def norm(self, x) -> float:
-        return lp_norm(svd(self._check(x)).s, self.p)
+        return lp_norm(svd(as_shaped(x, self.shape)).s, self.p)
 
     def dual_norm(self, c) -> float:
-        return lp_norm(svd(self._check(c)).s, _conjugate(self.p))
+        return lp_norm(svd(as_shaped(c, self.shape)).s, _conjugate(self.p))
 
     def lmo(self, c) -> np.ndarray:
-        c = self._check(c)
+        c = as_shaped(c, self.shape)
         dec = svd(c)
+        if 0.0 < dec.s[0] < _TINY:  # a subnormal spectrum keeps a few bits
+            dec = svd(np.ldexp(c, 1022))
         if not dec.s.any():  # zero input or numerically zero spectrum
             return self._first_vertex()
         w = _max_unit_vector(dec.s, self.p)
         return -self.r * (dec.u * w) @ dec.v.T
 
     def project(self, x) -> np.ndarray:
-        x = self._check(x)
+        x = as_shaped(x, self.shape)
         dec = svd(x)
         s = _project_lp_vector(dec.s, self.p, self.r)
         if s is dec.s:  # feasible inputs pass through
@@ -339,15 +342,15 @@ class GroupLpqBall(FeasibleSet):
         return top * np.sum(a ** p, axis=1) ** (1.0 / p)
 
     def norm(self, x) -> float:
-        return lp_norm(self._row_norms(self._check(x), self.p), self.q)
+        return lp_norm(self._row_norms(as_shaped(x, self.shape), self.p), self.q)
 
     def dual_norm(self, c) -> float:
         z = _conjugate(self.p)
         s = _conjugate(self.q)
-        return lp_norm(self._row_norms(self._check(c), z), s)
+        return lp_norm(self._row_norms(as_shaped(c, self.shape), z), s)
 
     def lmo(self, c) -> np.ndarray:
-        c = self._check(c)
+        c = as_shaped(c, self.shape)
         top = np.abs(c).max()
         if top == 0.0:
             return self._first_vertex()
@@ -364,18 +367,22 @@ class GroupLpqBall(FeasibleSet):
             inner = np.zeros(self.shape)
             inner[rows, cols] = np.sign(c[rows, cols])
         else:
-            scale = np.where(row_dual > 0.0, row_dual, 1.0)[:, None]
-            inner = np.sign(c) * (np.abs(c) / scale) ** (z - 1.0)
+            a, scale = np.abs(c), np.where(row_dual > 0.0, row_dual, 1.0)
+            low = scale < _TINY  # subnormal row norms keep a few bits
+            if low.any():
+                a[low] = np.ldexp(a[low], 1022)
+                scale[low] = self._row_norms(a[low], z)
+            inner = np.sign(c) * (a / scale[:, None]) ** (z - 1.0)
         outer = _max_unit_vector(row_dual, self.q)
         return -self.r * inner * outer[:, None]
 
     def project(self, x) -> np.ndarray:
-        x = self._check(x)
+        x = as_shaped(x, self.shape)
         if self.p != 2.0:
             raise ValueError(
                 "group-ball projection is implemented for inner exponent p = 2 only"
             )
-        norms = np.linalg.norm(x, axis=1)
+        norms = self._row_norms(x, 2.0)
         shrunk = _project_lp_vector(norms, self.q, self.r)
         if shrunk is norms:  # feasible inputs pass through
             return x

@@ -11,7 +11,7 @@ in the Euclidean norm, from a closed form for each loss.
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, lambda_max_bound
+from .numerics import as_matrix, as_shaped, as_vector, lambda_max_bound
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -136,14 +136,8 @@ class _TabularLoss(Loss):
         self.n_samples = data.n
         self.shape = (x.shape[1],)
 
-    def _model(self, w) -> np.ndarray:
-        w = as_vector(w)
-        if w.shape != self.shape:
-            raise ValueError(f"expected model of shape {self.shape}, got {w.shape}")
-        return w
-
     def _margins(self, w) -> np.ndarray:
-        return self._x @ self._model(w)
+        return self._x @ as_shaped(w, self.shape)
 
     # subclasses: per-sample loss values and d(loss)/d(margin)
     def _values(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -166,7 +160,7 @@ class _TabularLoss(Loss):
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
         xs = self._x[idx]
-        m = xs @ as_vector(w)
+        m = xs @ as_shaped(w, self.shape)
         coef = self._dmargin(m, self._y[idx])
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
@@ -228,13 +222,9 @@ class QuadraticLoss(_TabularLoss):
     _GRAM_RATIO = 8
 
     def __init__(self, data: TabularDataset, bias: bool = False):
-        # Deliberately skip the appended-feature path of the base class.
-        self.data = data
+        # The intercept is profiled out, not appended as a feature.
+        super().__init__(data, bias=False)
         self.bias = bool(bias)
-        self._x = data.features
-        self._y = data.targets
-        self.n_samples = data.n
-        self.shape = (data.d,)
         if self.bias:  # the means give a batch its profiled intercept in O(d)
             self._x_mean = self._x.mean(axis=0)
             self._y_mean = float(np.mean(self._y))
@@ -265,15 +255,15 @@ class QuadraticLoss(_TabularLoss):
         return g
 
     def evaluate(self, w) -> float:
-        r = self._residuals(self._model(w))
+        r = self._residuals(as_shaped(w, self.shape))
         return float(r @ r)
 
     def gradient(self, w) -> np.ndarray:
-        return self._gradient(self._model(w))
+        return self._gradient(as_shaped(w, self.shape))
 
     def value_and_gradient(self, w):
         # No buffer is kept on the loss: threads may share one instance.
-        w = self._model(w)
+        w = as_shaped(w, self.shape)
         r = self._residuals(w)
         return float(r @ r), self._gradient(w, r)
 
@@ -281,7 +271,7 @@ class QuadraticLoss(_TabularLoss):
         idx = self._check_indices(indices)
         if idx.size == self.n_samples and np.array_equal(idx, np.arange(idx.size)):
             return self.gradient(w)
-        w = self._model(w)
+        w = as_shaped(w, self.shape)
         xs = self._x[idx]
         r = xs @ w - self._y[idx]
         if self.bias:
@@ -291,8 +281,8 @@ class QuadraticLoss(_TabularLoss):
     def _chord(self, w, v):
         # The residual, profiled intercept included, is affine in the model,
         # so on the chord it is r + gamma * dr and phi is a parabola.
-        r = self._residuals(self._model(w))
-        dr = self._residuals(self._model(v)) - r
+        r = self._residuals(as_shaped(w, self.shape))
+        dr = self._residuals(as_shaped(v, self.shape)) - r
 
         def phi(gamma):
             rg = r + gamma * dr
@@ -361,15 +351,9 @@ class ObservedQuadraticLoss(Loss):
         self._idx = np.flatnonzero(observed.mask)  # row-major order
         self._vals = observed.values.ravel()[self._idx]
 
-    def _check(self, w) -> np.ndarray:
-        w = as_matrix(w)
-        if w.shape != self.shape:
-            raise ValueError(f"expected model of shape {self.shape}, got {w.shape}")
-        return w
-
     def _diff(self, w) -> np.ndarray:
         """W_ij - M_ij over the observed entries, in row-major order."""
-        return self._check(w).ravel()[self._idx] - self._vals
+        return as_shaped(w, self.shape).ravel()[self._idx] - self._vals
 
     def _spread(self, diff) -> np.ndarray:
         g = np.zeros(self.shape)
@@ -388,7 +372,7 @@ class ObservedQuadraticLoss(Loss):
         return float(diff @ diff), self._spread(diff)
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
-        w = self._check(w)
+        w = as_shaped(w, self.shape)
         idx = self._check_indices(indices)
         flat = self._idx[idx]
         g = np.zeros(self.shape)

@@ -1,7 +1,8 @@
 """Dense numeric kernels: norms and LAPACK-backed spectra.
 
-Vectors and matrices are plain float64 numpy arrays.  Construction helpers
-reject non-finite entries; downstream code assumes finiteness.
+Vectors and matrices are plain float64 numpy arrays.  as_shaped (against
+the shape a loss or set expects) and the construction helpers reject
+non-finite entries; downstream code assumes finiteness.
 """
 
 import math
@@ -13,6 +14,16 @@ from .errors import NumericFailure
 
 # lambda_max_bound's safety margin and rounding grid, in relative bits.
 _LAMBDA_GRID_BITS = 26
+
+
+def as_shaped(x, shape: tuple) -> np.ndarray:
+    """x as a float64 array (no copy if it is one) of `shape`; rejects NaN/Inf."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("array contains non-finite entries")
+    return a
 
 
 def as_vector(x) -> np.ndarray:

@@ -79,16 +79,16 @@ def lsq_boundary_problem(
     seed: int = 42,
     n: int = 2000,
     d: int = 20,
-    noise: float = 0.1,
     condition: float = 1000.0,
 ) -> LsqProblem:
     """Least squares over an l2 ball sized so the optimum is on the boundary.
 
-    The ball radius is 0.9 times the unconstrained solution norm;
-    correlated features give the instance a realistic eigenvalue spread.
+    The targets carry noise 0.1.  The ball radius is 0.9 times the
+    unconstrained solution norm; correlated features give the instance a
+    realistic eigenvalue spread.
     """
     spec = SyntheticSpec(
-        kind="regression", n=n, d=d, noise=noise, seed=seed, condition=condition
+        kind="regression", n=n, d=d, noise=0.1, seed=seed, condition=condition
     )
     data, _ = gen_regression(spec)
     data = standardize(data)
@@ -117,34 +117,27 @@ class BiweightProblem:
     d: int
 
 
-@functools.lru_cache(maxsize=8)
-def biweight_problem(
-    seed: int = 42,
-    n: int = 2000,
-    d: int = 20,
-    noise: float = 0.1,
-    condition: float = 1.0,
-    radius: float = 1.0,
-) -> BiweightProblem:
-    """Robust (bounded, non-convex) regression on the synthetic tabular set.
+@functools.cache
+def biweight_problem() -> BiweightProblem:
+    """Robust (bounded, non-convex) regression on the synthetic tabular set:
+    2000 isotropic samples in d = 20 with noise 0.1 (seed 42), standardized,
+    on the unit l2 ball.
 
     The per-sample curvature of r^2/(1+r^2) lies in [-1/2, 2], so the loss's
     smoothness(), 2 * lambda_max(X^T X), bounds the gradient Lipschitz
     constant globally.
     """
-    spec = SyntheticSpec(
-        kind="regression", n=n, d=d, noise=noise, seed=seed, condition=condition
-    )
+    spec = SyntheticSpec(kind="regression", n=2000, d=20, noise=0.1, seed=42)
     data, _ = gen_regression(spec)
     data = standardize(data)
-    region = LpBall(p=2.0, r=radius, d=d)
+    region = LpBall(p=2.0, r=1.0, d=data.d)
     loss = BiWeightLoss(data)
     return BiweightProblem(
         loss=loss,
         region=region,
         smoothness=loss.smoothness(),
         alpha=region.strong_convexity(),
-        d=d,
+        d=data.d,
     )
 
 

@@ -225,6 +225,17 @@ def test_run_numeric_failure_exits_3(runner, tmp_path):
     assert "numeric failure" in result.stderr
 
 
+def test_run_projects_far_outside_a_tiny_l1_ball(runner, tmp_path):
+    # A gradient step lands about 1e17 radii outside the ball, where the sum
+    # of the entries minus r loses r.
+    cfg = _base_config(set={"kind": "lp", "p": 1.0, "r": 1.0e-17},
+                       optimizer={"kind": "gd", "eta": 0.01, "iters": 3})
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "iterations: 3" in result.output
+
+
 def test_run_overflowing_tilt_exits_3(runner, tmp_path):
     # A tilt of size 1e300 / (4 D) keeps every iterate finite but overflows
     # the recorded direction's norm.

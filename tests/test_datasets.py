@@ -82,6 +82,26 @@ def test_delimited_needs_a_feature_column(tmp_path):
         load_delimited(path, target_column=0)
 
 
+@pytest.mark.parametrize(
+    "load, text, where",
+    [
+        (lambda p: load_delimited(p, target_column=0), "1,2\n\n1,x\n", ":3"),
+        (lambda p: load_delimited(p, target_column=0), "1,2\n\n1\n", ":3:"),
+        (lambda p: load_delimited(p, target_column=0, has_header=True),
+         "\nx,y\n1,2\n\n1,x\n", ":5"),
+        (load_libsvm, "1 1:2\n\n1 1:x\n", ":3 (index 1)"),
+        (load_ratings, "1,1,5\n\n\n1,2,x\n", ":4 (rating)"),
+    ],
+    ids=["delimited-cell", "delimited-width", "delimited-header", "libsvm", "ratings"],
+)
+def test_loader_errors_name_the_file_line(tmp_path, load, text, where):
+    # Blank lines are skipped but counted, so messages name the editor's line.
+    path = _write(tmp_path, "a.txt", text)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert f"{path}{where}" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # load_libsvm
 

@@ -262,12 +262,15 @@ def test_logistic_rejects_bad_labels():
 
 
 def test_model_shape_mismatch():
-    loss = QuadraticLoss(_toy_tabular(10, 3, 15))
-    with pytest.raises(ValueError):
-        loss.evaluate(np.ones(4))
-    mloss = ObservedQuadraticLoss(_toy_observed(16))
-    with pytest.raises(ValueError):
-        mloss.gradient(np.ones((3, 4)))
+    # Every entry point checks the model the same way, the batch gradient too.
+    for loss in _all_losses():
+        wrong = np.ones(tuple(k + 1 for k in loss.shape))
+        for call in (loss.evaluate, loss.gradient, loss.value_and_gradient,
+                     lambda w: loss.stochastic_gradient(w, [0, 1])):
+            with pytest.raises(ValueError, match="expected shape"):
+                call(wrong)
+            with pytest.raises(ValueError, match="non-finite"):
+                call(np.full(loss.shape, np.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from projfree.numerics import (
     as_matrix,
+    as_shaped,
     as_vector,
     lambda_max_bound,
     lp_norm,
@@ -71,6 +72,19 @@ def test_lp_norm_rescales_to_avoid_overflow():
 
 # ---------------------------------------------------------------------------
 # array coercion
+
+
+def test_as_shaped_checks_shape_and_finiteness_without_a_copy():
+    x = np.ones((2, 3))
+    assert as_shaped(x, (2, 3)) is x
+    m = as_shaped([[1, 2, 3], [4, 5, 6]], (2, 3))
+    assert m.dtype == np.float64
+    with pytest.raises(ValueError, match="expected shape"):
+        as_shaped(x, (3, 2))
+    with pytest.raises(ValueError, match="expected shape"):
+        as_shaped(np.ones(6), (2, 3))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_shaped([1.0, np.inf], (2,))
 
 
 def test_as_vector_coerces_and_checks():
