@@ -127,7 +127,10 @@ def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
         else:
             hi = lam
         slope = p * float(np.sum(s * dt))
-        lam = lam - (norm**p - target) / slope if slope < 0.0 else math.nan
+        try:
+            lam = lam - (norm**p - target) / slope if slope < 0.0 else math.nan
+        except OverflowError:  # ||t||_p^p past the float range, as at 1e300
+            raise NumericFailure("l_p projection: ||t||_p^p overflows") from None
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
         t, s, dt = _lp_magnitudes(a, p, lam, s_lo)

@@ -2,12 +2,16 @@
 
 Every loss exposes evaluate(w), gradient(w), value_and_gradient(w),
 stochastic_gradient(w, idx) and smoothness().  value_and_gradient(w) gives
-the bits of the two separate calls from one margin or residual pass.  The
+the bits of the two separate calls from one margin or residual pass, and
+the line search's _chord(w, v) one such pass per distinct step size, with a
+memo of two floats per step size, never a per-sample array.  The
 stochastic form returns (N / |idx|) * sum of per-sample gradients so that
 the full index set reproduces gradient(w) exactly.
 smoothness() is a proven global bound on the gradient's Lipschitz constant
 in the Euclidean norm, from a closed form for each loss.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +23,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # is 1 / (1 + e^-z) or e^z / (1 + e^z) as in the textbook split.
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _memoized_chord(probe):
+    """(phi, dphi) from one probe(gamma) -> (phi, dphi) call per gamma."""
+    at = lru_cache(maxsize=None)(probe)
+    return (lambda gamma: at(gamma)[0]), (lambda gamma: at(gamma)[1])
 
 
 class TabularDataset:
@@ -92,10 +102,15 @@ class Loss:
 
     def _chord(self, w, v):
         """(phi, dphi) on the chord from w to v: phi(gamma) is the loss at
-        w + gamma (v - w) and dphi(gamma) its slope in gamma there."""
+        w + gamma (v - w) and dphi(gamma) its slope in gamma there.  Both
+        come from one memoized value_and_gradient probe per gamma."""
         d = v - w
-        return (lambda gamma: self.evaluate(w + gamma * d),
-                lambda gamma: float(np.vdot(self.gradient(w + gamma * d), d)))
+
+        def probe(gamma):
+            f, g = self.value_and_gradient(w + gamma * d)
+            return f, float(np.vdot(g, d))
+
+        return _memoized_chord(probe)
 
     def _check_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -146,16 +161,19 @@ class _TabularLoss(Loss):
     def _dmargin(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _terms(self, m: np.ndarray, y: np.ndarray):
+        """(_values(m, y), _dmargin(m, y)) bit for bit, their work shared."""
+        return self._values(m, y), self._dmargin(m, y)
+
     def evaluate(self, w) -> float:
-        return float(np.sum(self._values(self._margins(w), self._y)))
+        return float(self._values(self._margins(w), self._y).sum())
 
     def gradient(self, w) -> np.ndarray:
         return self._x.T @ self._dmargin(self._margins(w), self._y)
 
     def value_and_gradient(self, w):
-        m = self._margins(w)
-        return (float(np.sum(self._values(m, self._y))),
-                self._x.T @ self._dmargin(m, self._y))
+        values, dm = self._terms(self._margins(w), self._y)
+        return float(values.sum()), self._x.T @ dm
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
@@ -168,11 +186,15 @@ class _TabularLoss(Loss):
         return self._CURVATURE * lambda_max_bound(self._x.T @ self._x)
 
     def _chord(self, w, v):
-        # The margins are affine in gamma, so each probe is O(n).
+        # The margins are affine in gamma, so each probe is one O(n) pass.
         mw = self._margins(w)
         md = self._margins(v - w)
-        return (lambda gamma: float(np.sum(self._values(mw + gamma * md, self._y))),
-                lambda gamma: float(md @ self._dmargin(mw + gamma * md, self._y)))
+
+        def probe(gamma):
+            values, dm = self._terms(mw + gamma * md, self._y)
+            return float(values.sum()), float(md @ dm)
+
+        return _memoized_chord(probe)
 
 
 class LogisticLoss(_TabularLoss):
@@ -196,6 +218,10 @@ class LogisticLoss(_TabularLoss):
 
     def _dmargin(self, m, y):
         return -y * _sigmoid(-y * m)
+
+    def _terms(self, m, y):
+        z = -y * m
+        return np.logaddexp(0.0, z), -y * _sigmoid(z)
 
 
 class QuadraticLoss(_TabularLoss):
@@ -284,11 +310,11 @@ class QuadraticLoss(_TabularLoss):
         r = self._residuals(as_shaped(w, self.shape))
         dr = self._residuals(as_shaped(v, self.shape)) - r
 
-        def phi(gamma):
+        def probe(gamma):
             rg = r + gamma * dr
-            return float(rg @ rg)
+            return float(rg @ rg), 2.0 * float(rg @ dr)
 
-        return phi, lambda gamma: 2.0 * float((r + gamma * dr) @ dr)
+        return _memoized_chord(probe)
 
     def exact_smoothness(self) -> float:
         """Same as smoothness(); perfbench patches and calls this name."""
@@ -319,6 +345,11 @@ class SquaredSigmoidLoss(_TabularLoss):
         s = _sigmoid(m)
         return -2.0 * (y - s) * s * (1.0 - s) / self.n_samples
 
+    def _terms(self, m, y):
+        s = _sigmoid(m)
+        e = y - s
+        return e**2 / self.n_samples, -2.0 * e * s * (1.0 - s) / self.n_samples
+
 
 class BiWeightLoss(_TabularLoss):
     """Robust regression: sum_i r_i^2 / (1 + r_i^2) with r_i = x_i.w - y_i.
@@ -336,6 +367,10 @@ class BiWeightLoss(_TabularLoss):
     def _dmargin(self, m, y):
         r = m - y
         return 2.0 * r / (1.0 + r * r) ** 2
+
+    def _terms(self, m, y):
+        r = m - y
+        return r * r / (1.0 + r * r), 2.0 * r / (1.0 + r * r) ** 2
 
 
 class ObservedQuadraticLoss(Loss):

@@ -77,7 +77,9 @@ class QuadraticLineSearch:
 class ExactLineSearch:
     """Minimizer of the loss on the chord from w to v, found as a root of
     its slope to within `tol` in gamma.  The loss restricts itself to the
-    chord once per search (`_chord`); a tabular loss then probes in O(n)."""
+    chord once per search (`_chord`); each distinct gamma then costs one
+    per-sample pass (O(n) for a tabular loss) whether phi, dphi or both ask
+    for it, and the memo behind them keeps two floats per gamma."""
 
     tol: float = 1e-8
 

@@ -6,11 +6,13 @@ shows the twelve verdicts inline.  Each check builds its own runs; only the
 boundary least-squares problem, which five checks share, is cached.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from projfree.feasible_sets import LpBall
-from projfree.suites import CRITERIA, SUITES
+from projfree.suites import CRITERIA, SUITES, run_suite
 
 
 def _run(num: int, capsys) -> None:
@@ -93,3 +95,14 @@ def test_precondition_exit_states_its_own_requirement(
     assert not res.passed
     assert res.measured.startswith(measured)
     assert res.required == required
+
+
+def test_measured_values_do_not_depend_on_the_thread_count():
+    # The two wall-clock figures, c01's runtime and c11's cost ratio, are
+    # the only measured values allowed to differ.
+    def measured(threads):
+        results, _ = run_suite("convex", threads=threads)
+        return [(r.name, re.sub(r"runtime [\d.]+s|cost ratio [\d.]+", "", r.measured))
+                for r in results]
+
+    assert measured(1) == measured(4)

@@ -21,7 +21,8 @@ from projfree.losses import (
     SquaredSigmoidLoss,
     TabularDataset,
 )
-from projfree.perturbation import make_perturbed
+from projfree.optimizers import ExactLineSearch
+from projfree.perturbation import PerturbedLoss, make_perturbed
 
 
 def _fd_gradient(loss, w, h=1e-5):
@@ -130,6 +131,122 @@ def test_value_and_gradient_matches_separate_calls_bit_for_bit():
             assert type(f) is float, name
             assert f == loss.evaluate(w), name
             np.testing.assert_array_equal(g, loss.gradient(w), err_msg=name)
+
+
+def _unmemoized_chord(loss, w, v):
+    """The chord formulas from before the memoized probe, one pass each."""
+    if isinstance(loss, PerturbedLoss):
+        phi, dphi = _unmemoized_chord(loss.base, w, v)
+        tilt_w = loss.theta * float(np.vdot(loss.xi, w))
+        tilt_d = loss.theta * float(np.vdot(loss.xi, v - w))
+        return (lambda g: phi(g) + tilt_w + g * tilt_d, lambda g: dphi(g) + tilt_d)
+    if isinstance(loss, QuadraticLoss):
+        r = loss._residuals(w)
+        dr = loss._residuals(v) - r
+        return (lambda g: float((r + g * dr) @ (r + g * dr)),
+                lambda g: 2.0 * float((r + g * dr) @ dr))
+    if isinstance(loss, ObservedQuadraticLoss):
+        d = v - w
+        return (lambda g: loss.evaluate(w + g * d),
+                lambda g: float(np.vdot(loss.gradient(w + g * d), d)))
+    mw, md = loss._margins(w), loss._margins(v - w)
+    return (lambda g: float(np.sum(loss._values(mw + g * md, loss._y))),
+            lambda g: float(md @ loss._dmargin(mw + g * md, loss._y)))
+
+
+@pytest.mark.parametrize("phi_first", [True, False])
+def test_memoized_chord_matches_unmemoized_formulas_bit_for_bit(phi_first):
+    rng = np.random.default_rng(25)
+    bases = list(_all_losses())
+    tilted = make_perturbed(bases[4], 0.5, 2.0, 0.1, rng)
+    for loss in bases + [tilted]:
+        w, v = 0.7 * rng.standard_normal((2, *loss.shape))
+        phi, dphi = loss._chord(w, v)
+        old_phi, old_dphi = _unmemoized_chord(loss, w, v)
+        name = type(getattr(loss, "base", loss)).__name__
+        for gamma in (0.0, 1.0, 0.37, 1e-9):
+            if phi_first:
+                got = phi(gamma), dphi(gamma)
+            else:
+                got = tuple(reversed((dphi(gamma), phi(gamma))))
+            assert got == (old_phi(gamma), old_dphi(gamma)), (name, gamma)
+            assert (phi(gamma), dphi(gamma)) == got, (name, gamma)
+
+
+def test_shared_terms_match_values_and_dmargin_bit_for_bit():
+    rng = np.random.default_rng(26)
+    # Up to 1e50: the bi-weight's (1 + r^2)^2 overflows past 1e77 either way.
+    m = np.concatenate([rng.standard_normal(200) * 10.0**rng.integers(-3, 3, 200),
+                        [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1e50, -1e50]])
+    for loss in _all_losses():
+        if isinstance(loss, (QuadraticLoss, ObservedQuadraticLoss)):
+            continue  # no per-sample terms: both keep their own paths
+        y = rng.choice(loss._y, m.size)
+        values, dm = loss._terms(m, y)
+        np.testing.assert_array_equal(values, loss._values(m, y))
+        np.testing.assert_array_equal(dm, loss._dmargin(m, y))
+
+
+def _count_sigmoid_calls(monkeypatch):
+    calls = []
+    sigmoid = losses._sigmoid
+
+    def counted(z):
+        calls.append(z.size)
+        return sigmoid(z)
+
+    monkeypatch.setattr(losses, "_sigmoid", counted)
+    return calls
+
+
+def test_squared_sigmoid_value_and_gradient_is_one_pass(monkeypatch):
+    loss = SquaredSigmoidLoss(_toy_tabular(50, 3, 27, labels="01"))
+    calls = _count_sigmoid_calls(monkeypatch)
+    loss.value_and_gradient(np.array([0.3, -0.2, 0.5]))
+    assert len(calls) == 1
+
+
+def test_line_search_step_is_one_pass_per_distinct_step_size(monkeypatch):
+    # Building the chord takes two margin products and no sigmoid; after
+    # that each distinct gamma probed by phi or dphi costs one pass.
+    loss = SquaredSigmoidLoss(_toy_tabular(200, 3, 28, labels="01"))
+    rng = np.random.default_rng(29)
+    probed = []
+    chord = loss._chord
+
+    def recorded_chord(w, v):
+        phi, dphi = chord(w, v)
+        return (lambda g: probed.append(g) or phi(g),
+                lambda g: probed.append(g) or dphi(g))
+
+    monkeypatch.setattr(loss, "_chord", recorded_chord)
+    calls = _count_sigmoid_calls(monkeypatch)
+    for _ in range(10):
+        w, v = 3.0 * rng.standard_normal((2, 3))
+        probed.clear()
+        calls.clear()
+        ExactLineSearch(tol=1e-8).step(1, loss, None, w, v, None)
+        assert len(probed) > len(set(probed)) >= 2
+        assert len(calls) == len(set(probed))
+
+
+def test_chord_memo_keeps_no_per_sample_arrays():
+    n = 100_000
+    loss = SquaredSigmoidLoss(_toy_tabular(n, 3, 30, labels="01"))
+    phi, dphi = loss._chord(np.zeros(3), np.array([1.0, -1.0, 0.5]))
+    gammas = np.linspace(0.0, 1.0, 500)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k, gamma in enumerate(gammas):
+            phi(float(gamma))
+            dphi(float(gamma))
+            if k % 50 == 49:  # fail before a leak of arrays grows large
+                kept = tracemalloc.get_traced_memory()[0] - start
+                assert kept < 8 * n, (k, kept)
+    finally:
+        tracemalloc.stop()
+    assert kept <= 500 * 400  # a few hundred bytes per probe, whatever n is
 
 
 def test_residual_value_and_gradient_allocates_one_vector_of_each_length():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from projfree.errors import NumericFailure
 from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall
 
 EXPONENTS = [1.0, 1.0 + 1e-6, 1.5, 2.0, 3.0, 50.0, math.inf]
@@ -165,6 +166,16 @@ def test_newton_projection_is_feasible_and_variational(data, r, decades):
     direction = data.draw(_direction(region.shape))
     assume(direction.any())
     _check_projection(region, _outside(region, direction, 10.0**decades), 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5])
+def test_newton_projection_overflow_is_a_numeric_failure(p):
+    # At max|x| = 1e300, ||x||_p^p is past the float range; the solve must
+    # fail with the error the CLI maps to exit 3, not an OverflowError.
+    x = np.random.default_rng(0).standard_normal(1000)
+    x *= 1e300 / np.abs(x).max()
+    with pytest.raises(NumericFailure, match="overflows"):
+        LpBall(p, 1.0, 1000).project(x)
 
 
 # ---------------------------------------------------------------------------
