@@ -5,6 +5,8 @@ a growing-batch stochastic variant) with projected-gradient baselines,
 perturbation machinery for degenerate gradients, and run diagnostics.
 """
 
+import ctypes as _ctypes
+
 from .diagnostics import (
     ConvergencePoint,
     SlopeFit,
@@ -54,6 +56,13 @@ from .perturbation import (
     sample_unit_sphere,
 )
 from .trace import Trace, read_trace, write_trace
+
+# glibc's mmap threshold (M_MMAP_THRESHOLD, -3), pinned at its 128 KiB default
+# so peak memory repeats from one process to the next (README, Library use).
+try:
+    _ctypes.CDLL(None).mallopt(-3, 128 * 1024)
+except (AttributeError, OSError, TypeError):  # not glibc: nothing to pin
+    pass
 
 __version__ = "0.1.0"
 
