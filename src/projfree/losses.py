@@ -1,12 +1,14 @@
 """Loss functions over tabular and partially observed matrix data.
 
-Every loss exposes evaluate(w), gradient(w), value_and_gradient(w),
-stochastic_gradient(w, idx) and smoothness().  value_and_gradient(w) gives
-the bits of the two separate calls from one margin or residual pass, and
-the line search's _chord(w, v) one such pass per distinct step size, with a
-memo of two floats per step size, never a per-sample array.  The
-stochastic form returns (N / |idx|) * sum of per-sample gradients so that
-the full index set reproduces gradient(w) exactly.
+A loss defines value_and_gradient(w), one margin or residual pass, plus
+stochastic_gradient(w, idx) and smoothness(); evaluate and gradient return
+the parts of value_and_gradient.  Three losses override gradient for runs
+that take no value: the quadratic (its O(d^2) Gram form), the tilted loss
+and the observed-entry quadratic.  A tabular loss writes its per-sample
+value and slope once, in _terms(m, y).  The line search's _chord(w, v)
+makes one pass per distinct step size, with a memo of two floats per step
+size.  The stochastic form returns (N / |idx|) * sum of per-sample
+gradients so that the full index set reproduces gradient(w) exactly.
 smoothness() is a proven global bound on the gradient's Lipschitz constant
 in the Euclidean norm, from a closed form for each loss.
 """
@@ -76,22 +78,22 @@ class ObservedMatrix:
 
 
 class Loss:
-    """Base class; subclasses fill in the margin/residual algebra."""
+    """Base class; subclasses define value_and_gradient and the rest."""
 
     #: number of samples N used by the stochastic aggregate
     n_samples: int
     #: parameter shape the loss expects
     shape: tuple
 
-    def evaluate(self, w) -> float:
+    def value_and_gradient(self, w):
+        """(loss value as a float, gradient array) at w."""
         raise NotImplementedError
+
+    def evaluate(self, w) -> float:
+        return self.value_and_gradient(w)[0]
 
     def gradient(self, w) -> np.ndarray:
-        raise NotImplementedError
-
-    def value_and_gradient(self, w):
-        """(evaluate(w), gradient(w)); overrides compute the shared part once."""
-        return self.evaluate(w), self.gradient(w)
+        return self.value_and_gradient(w)[1]
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         raise NotImplementedError
@@ -127,7 +129,8 @@ class Loss:
 
 
 class _TabularLoss(Loss):
-    """Shared plumbing for losses of the form sum_i psi(x_i . w, y_i).
+    """Shared plumbing for losses of the form sum_i psi(x_i . w, y_i).  A
+    subclass defines _terms(m, y) -> (psi(m_i, y_i), psi'(m_i, y_i)).
 
     With bias=True a constant-1 feature is appended, so the model vector
     carries the intercept as its last coordinate and the constraint set acts
@@ -154,23 +157,6 @@ class _TabularLoss(Loss):
     def _margins(self, w) -> np.ndarray:
         return self._x @ as_shaped(w, self.shape)
 
-    # subclasses: per-sample loss values and d(loss)/d(margin)
-    def _values(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _dmargin(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _terms(self, m: np.ndarray, y: np.ndarray):
-        """(_values(m, y), _dmargin(m, y)) bit for bit, their work shared."""
-        return self._values(m, y), self._dmargin(m, y)
-
-    def evaluate(self, w) -> float:
-        return float(self._values(self._margins(w), self._y).sum())
-
-    def gradient(self, w) -> np.ndarray:
-        return self._x.T @ self._dmargin(self._margins(w), self._y)
-
     def value_and_gradient(self, w):
         values, dm = self._terms(self._margins(w), self._y)
         return float(values.sum()), self._x.T @ dm
@@ -179,7 +165,7 @@ class _TabularLoss(Loss):
         idx = self._check_indices(indices)
         xs = self._x[idx]
         m = xs @ as_shaped(w, self.shape)
-        coef = self._dmargin(m, self._y[idx])
+        coef = self._terms(m, self._y[idx])[1]
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
     def smoothness(self) -> float:
@@ -213,12 +199,6 @@ class LogisticLoss(_TabularLoss):
                 f"logistic loss needs labels in {{-1, +1}}, got {sorted(labels)}"
             )
 
-    def _values(self, m, y):
-        return np.logaddexp(0.0, -y * m)
-
-    def _dmargin(self, m, y):
-        return -y * _sigmoid(-y * m)
-
     def _terms(self, m, y):
         z = -y * m
         return np.logaddexp(0.0, z), -y * _sigmoid(z)
@@ -237,7 +217,7 @@ class QuadraticLoss(_TabularLoss):
 
     On tall data (_GRAM_RATIO * d <= n) the gradient is 2 (G w - b) with
     G = X^T P X and b = X^T P y stored once (P = I without the intercept):
-    O(d^2) per call instead of a pass over the n rows.  evaluate() and the
+    O(d^2) per call instead of a pass over the n rows.  The value and the
     chord stay on the residual, which keeps the digits f loses to
     cancellation in w^T G w - 2 b^T w + y^T y near its minimum.
     """
@@ -280,11 +260,8 @@ class QuadraticLoss(_TabularLoss):
         g *= 2.0
         return g
 
-    def evaluate(self, w) -> float:
-        r = self._residuals(as_shaped(w, self.shape))
-        return float(r @ r)
-
     def gradient(self, w) -> np.ndarray:
+        # The Gram form needs no residual, which value_and_gradient builds.
         return self._gradient(as_shaped(w, self.shape))
 
     def value_and_gradient(self, w):
@@ -338,13 +315,6 @@ class SquaredSigmoidLoss(_TabularLoss):
         e = max(0.0, -float(self._y.min()), float(self._y.max()) - 1.0)
         return (0.1541 + 0.19246 * e) / self.n_samples
 
-    def _values(self, m, y):
-        return (y - _sigmoid(m)) ** 2 / self.n_samples
-
-    def _dmargin(self, m, y):
-        s = _sigmoid(m)
-        return -2.0 * (y - s) * s * (1.0 - s) / self.n_samples
-
     def _terms(self, m, y):
         s = _sigmoid(m)
         e = y - s
@@ -354,23 +324,22 @@ class SquaredSigmoidLoss(_TabularLoss):
 class BiWeightLoss(_TabularLoss):
     """Robust regression: sum_i r_i^2 / (1 + r_i^2) with r_i = x_i.w - y_i.
 
-    Bounded per-sample loss (< 1), hence non-convex; total is < n everywhere.
+    Bounded per-sample loss (<= 1), hence non-convex; total is <= n everywhere.
     psi'' = (2 - 6 r^2) / (1 + r^2)^3 lies in [-1/2, 2].
     """
 
     _CURVATURE = 2.0
 
-    def _values(self, m, y):
-        r2 = (m - y) ** 2
-        return r2 / (1.0 + r2)
-
-    def _dmargin(self, m, y):
-        r = m - y
-        return 2.0 * r / (1.0 + r * r) ** 2
-
     def _terms(self, m, y):
         r = m - y
-        return r * r / (1.0 + r * r), 2.0 * r / (1.0 + r * r) ** 2
+        # Past |r| = 1e76 (1 + r^2)^2 overflows, past 1.3e154 r^2 too; 1 + r^2
+        # is r^2 there, so the value is 1 and the slope 2 / r^3, one r at a time.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, dm = r * r / (1.0 + r * r), 2.0 * r / (1.0 + r * r) ** 2
+        far = np.abs(r) > 1e76
+        rf = r[far]
+        values[far], dm[far] = 1.0, 2.0 / rf / rf / rf
+        return values, dm
 
 
 class ObservedQuadraticLoss(Loss):
@@ -395,11 +364,8 @@ class ObservedQuadraticLoss(Loss):
         g.flat[self._idx] = 2.0 * diff
         return g
 
-    def evaluate(self, w) -> float:
-        diff = self._diff(w)
-        return float(diff @ diff)
-
     def gradient(self, w) -> np.ndarray:
+        # PA's step on matrix completion takes the gradient alone.
         return self._spread(self._diff(w))
 
     def value_and_gradient(self, w):

@@ -11,11 +11,11 @@ which computes iterate t from w = w_{t-1} as a fresh array (observers may
 keep it) and returns its `IterateSnapshot`, the search direction whose norm
 is recorded, the batch size (None for a full gradient), the time of its
 oracle call or projection (None when not `timed` or not made) and the times
-of what it reused from `at_w`.  Past w_0, `at_w` holds the base loss's
-gradient at w and its oracle vertex, computed once by the driver for the
-record: one `value_and_gradient` call gives the loss value and the gradient
-the gap needs.  FW and GD reuse that gradient (plus any tilt), untilted FW
-the vertex too.
+of what it reused from `at_w`.  Past w_0, one call of the base loss's
+`value_and_gradient` gives the record its value and the gap its gradient; a
+tilted loss's `_tilt` adds the tilt to both.  FW and GD reuse that gradient
+from `at_w`, untilted FW its oracle vertex too.  Other gradients come from
+`loss.gradient`, the Gram form for the quadratic loss, tilted or not.
 A new gradient is checked with `_guard_finite` before its oracle call.
 
 Conventions shared by every run function:
@@ -233,10 +233,9 @@ def _loss_gradient(loss, w, at_w, t):
     """(checked gradient of `loss` at w, times of what it reused from at_w)."""
     if at_w is None:
         return _guard_finite(loss.gradient(w), t), ()
-    g, _, g_ms, _ = at_w
-    if isinstance(loss, PerturbedLoss):  # bit-for-bit PerturbedLoss.gradient
-        return _guard_finite(g + loss.theta * loss.xi, t), (g_ms,)
-    return g, (g_ms,)  # the driver has checked it
+    g, v, g_ms, _ = at_w
+    # The driver has checked a gradient it hands on with its vertex.
+    return (g if v is not None else _guard_finite(g, t)), (g_ms,)
 
 
 def default_init(region, rng: np.random.Generator) -> np.ndarray:
@@ -270,7 +269,7 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         )
     base = loss.base if isinstance(loss, PerturbedLoss) else loss
     trace = Trace()
-    at_w = None  # (base gradient at w, its oracle vertex, their times in ms)
+    at_w = None  # (gradient at w, its oracle vertex or None if tilted, times in ms)
     for t in range(1, iters + 1):
         (snap, direction, batch, oracle_ms, proj_ms, reused_ms), step_ms = _timed(
             record_timings, update, t, w, at_w, rng, record_timings
@@ -279,16 +278,13 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         (f_val, g), g_ms = _timed(record_timings, base.value_and_gradient, w)
         if not math.isfinite(f_val):
             raise NumericFailure(f"non-finite loss at iteration {t}")
-        # PerturbedLoss.evaluate's sum, reusing f_val instead of a second
-        # base evaluation.
-        h_val = (None if loss is base
-                 else f_val + loss.theta * float(np.vdot(loss.xi, w)))
+        h_val, g_loss = (None, g) if loss is base else loss._tilt(w, f_val, g)
         # np.linalg.norm's value, without its overflow warning.
         direction_norm = math.sqrt(float(np.vdot(direction, direction)))
         if not math.isfinite(direction_norm):
             raise DivergenceError(f"non-finite direction norm at iteration {t}", t)
         v, v_ms = _timed(record_timings, region.lmo, _guard_finite(g, t))
-        at_w = (g, v, g_ms, v_ms)
+        at_w = (g_loss, v if loss is base else None, g_ms, v_ms)
         trace.append(
             t, f_val, h_val, float(np.vdot(w - v, g)), snap.gamma, batch,
             direction_norm,
@@ -364,7 +360,7 @@ def fw_run(
         raise TypeError(f"unknown step rule: {rule!r}")
 
     def update(t, w, at_w, rng, timed):
-        if at_w is None or isinstance(loss, PerturbedLoss):
+        if at_w is None or at_w[1] is None:
             g, reused_ms = _loss_gradient(loss, w, at_w, t)
             v, oracle_ms = _timed(timed, region.lmo, g)
         else:  # untilted: the driver's gradient and vertex at w

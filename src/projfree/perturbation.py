@@ -35,16 +35,18 @@ def gradient_norm_floor(delta: float, d: int) -> float:
 
 
 class PerturbedLoss(Loss):
-    """f plus a fixed linear tilt; same evaluate/gradient surface as f."""
+    """f plus a fixed linear tilt; delta is stored and changes no value."""
 
     def __init__(self, base: Loss, theta: float, xi: np.ndarray, delta: float):
-        if theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {theta}")
+        if not 0.0 <= theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {theta}")
         xi = np.asarray(xi, dtype=np.float64)
         if xi.shape != base.shape:
             raise ValueError(
                 f"xi shape {xi.shape} does not match loss shape {base.shape}"
             )
+        if not np.isfinite(xi).all():
+            raise ValueError("xi must be finite")
         self.base = base
         self.theta = float(theta)
         self.xi = xi
@@ -52,11 +54,15 @@ class PerturbedLoss(Loss):
         self.n_samples = base.n_samples
         self.shape = base.shape
 
-    def evaluate(self, w) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        return self.base.evaluate(w) + self.theta * float(np.vdot(self.xi, w))
+    def _tilt(self, w, f, g):
+        """(h(w), grad h(w)) from the base loss's value f and gradient g at w."""
+        return f + self.theta * float(np.vdot(self.xi, w)), g + self.theta * self.xi
+
+    def value_and_gradient(self, w):
+        return self._tilt(w, *self.base.value_and_gradient(w))
 
     def gradient(self, w) -> np.ndarray:
+        # The base's gradient(), the Gram form for the quadratic loss.
         return self.base.gradient(w) + self.theta * self.xi
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:

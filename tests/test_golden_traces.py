@@ -3,8 +3,9 @@
 Each run is reduced to one sha256 over the bytes `write_trace` writes, every
 field of every `IterateSnapshot` (t, gamma, w, v, z, p) and `final_point`.
 The table pins all five run functions, each step rule, plain and tilted
-losses and the matrix sets, so a change to the run loop that moves any
-recorded number, snapshot or iterate shows up here by name.
+losses, the logistic and bi-weight losses and the matrix sets, so a change
+to the run loop that moves any recorded number, snapshot or iterate shows
+up here by name.
 
 The hashes were captured with numpy 2.4 on OpenBLAS 0.3 (x86-64).  A BLAS
 that rounds differently changes them; print the current table with
@@ -21,7 +22,13 @@ import numpy as np
 
 from projfree.datasets import SyntheticSpec, gen_lowrank, gen_regression
 from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall
-from projfree.losses import ObservedQuadraticLoss, QuadraticLoss
+from projfree.losses import (
+    BiWeightLoss,
+    LogisticLoss,
+    ObservedQuadraticLoss,
+    QuadraticLoss,
+    TabularDataset,
+)
 from projfree.optimizers import (
     ExactLineSearch,
     PredefinedDecay,
@@ -39,11 +46,20 @@ from projfree.trace import write_trace
 ITERS = 30
 
 
-def _vector_problem(bias=False):
+def _regression_data():
     spec = SyntheticSpec(kind="regression", n=40, d=8, noise=0.1, seed=11,
                          condition=10.0)
-    data, _ = gen_regression(spec)
-    return QuadraticLoss(data, bias=bias), LpBall(p=1.5, r=0.6, d=8)
+    return gen_regression(spec)[0]
+
+
+def _vector_problem(bias=False):
+    return QuadraticLoss(_regression_data(), bias=bias), LpBall(p=1.5, r=0.6, d=8)
+
+
+def _logistic_loss():
+    data = _regression_data()
+    return LogisticLoss(TabularDataset(data.features,
+                                       np.where(data.targets > 0.0, 1.0, -1.0)))
 
 
 def _matrix_loss():
@@ -129,6 +145,23 @@ def _runs():
     runs["sgd-tilted"] = lambda hook, timed: projected_sgd_run(
         tilted, l2, 2e-3, 6, ITERS, rng=_rng(13), record_timings=timed,
         on_iterate=hook)
+    # Tabular losses other than the quadratic: the full and the batch
+    # per-sample gradient, the exact rule's chord and an appended bias column.
+    logistic = _logistic_loss()
+    runs["pa-B-logistic"] = lambda hook, timed: pa_run(
+        logistic, ball, "B", ITERS, rng=_rng(14), record_timings=timed,
+        on_iterate=hook)
+    runs["spa-logistic"] = lambda hook, timed: spa_run(
+        logistic, ball, ITERS, rng=_rng(15), record_timings=timed,
+        on_iterate=hook)
+    biweight = BiWeightLoss(_regression_data())
+    runs["fw-exact-biweight"] = lambda hook, timed: fw_run(
+        biweight, ball, ExactLineSearch(tol=1e-8), ITERS, rng=_rng(16),
+        record_timings=timed, on_iterate=hook)
+    biweight_bias = BiWeightLoss(_regression_data(), bias=True)
+    runs["sgd-biweight-bias"] = lambda hook, timed: projected_sgd_run(
+        biweight_bias, LpBall(p=2.0, r=0.6, d=9), 2e-3, 6, ITERS, rng=_rng(17),
+        record_timings=timed, on_iterate=hook)
     return runs
 
 
@@ -184,6 +217,10 @@ GOLDEN = {
     "sgd-sqrt": "71d1e7a36be27048f67dc81bf66880b00eebed73969fbeb7793f15d65d806847",
     "sgd-constant": "24c49c791c5257c2fc6fff4b07c23defb659824ad0304af827f5897e87e4ae38",
     "sgd-tilted": "15994255f51078c1e556d1292e7ffdc0711048ae18214757efb51ea1ca5c9c92",
+    "pa-B-logistic": "5dfa1b02bac988a6230d4e4b7dfe47c7fd7ccecfe5cd47f3af2678b8682fc6e8",
+    "spa-logistic": "3afbd6333103f33f5dcda070f73b07379191dfd6a833a35264c9a03d448bb5d5",
+    "fw-exact-biweight": "c4ad87eace2b0a2aa9b67a20e1cf8d9b457d1c22531253e6f11d2c0a90cfec81",
+    "sgd-biweight-bias": "22bcd06341bdd20c031794af65c7b7808812f1c75319baa5758c119e12e00374",
 }
 
 

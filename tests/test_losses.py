@@ -6,6 +6,8 @@ unbiasedness.
 """
 
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from projfree.feasible_sets import LpBall, SchattenPBall
 from projfree.losses import (
     BiWeightLoss,
     LogisticLoss,
+    Loss,
     ObservedMatrix,
     ObservedQuadraticLoss,
     QuadraticLoss,
     SquaredSigmoidLoss,
     TabularDataset,
 )
-from projfree.optimizers import ExactLineSearch
+from projfree.optimizers import ExactLineSearch, fw_run, pa_run
 from projfree.perturbation import PerturbedLoss, make_perturbed
 
 
@@ -133,6 +136,28 @@ def test_value_and_gradient_matches_separate_calls_bit_for_bit():
             np.testing.assert_array_equal(g, loss.gradient(w), err_msg=name)
 
 
+def _values(loss, m, y):
+    """Per-sample loss values of a tabular loss, each formula on its own:
+    the reference for _terms(m, y)[0]."""
+    if isinstance(loss, LogisticLoss):
+        return np.logaddexp(0.0, -y * m)
+    if isinstance(loss, SquaredSigmoidLoss):
+        return (y - losses._sigmoid(m)) ** 2 / loss.n_samples
+    r2 = (m - y) ** 2  # bi-weight
+    return r2 / (1.0 + r2)
+
+
+def _dmargin(loss, m, y):
+    """Per-sample slopes d(loss)/d(margin): the reference for _terms(m, y)[1]."""
+    if isinstance(loss, LogisticLoss):
+        return -y * losses._sigmoid(-y * m)
+    if isinstance(loss, SquaredSigmoidLoss):
+        s = losses._sigmoid(m)
+        return -2.0 * (y - s) * s * (1.0 - s) / loss.n_samples
+    r = m - y  # bi-weight
+    return 2.0 * r / (1.0 + r * r) ** 2
+
+
 def _unmemoized_chord(loss, w, v):
     """The chord formulas from before the memoized probe, one pass each."""
     if isinstance(loss, PerturbedLoss):
@@ -150,8 +175,8 @@ def _unmemoized_chord(loss, w, v):
         return (lambda g: loss.evaluate(w + g * d),
                 lambda g: float(np.vdot(loss.gradient(w + g * d), d)))
     mw, md = loss._margins(w), loss._margins(v - w)
-    return (lambda g: float(np.sum(loss._values(mw + g * md, loss._y))),
-            lambda g: float(md @ loss._dmargin(mw + g * md, loss._y)))
+    return (lambda g: float(np.sum(_values(loss, mw + g * md, loss._y))),
+            lambda g: float(md @ _dmargin(loss, mw + g * md, loss._y)))
 
 
 @pytest.mark.parametrize("phi_first", [True, False])
@@ -175,16 +200,86 @@ def test_memoized_chord_matches_unmemoized_formulas_bit_for_bit(phi_first):
 
 def test_shared_terms_match_values_and_dmargin_bit_for_bit():
     rng = np.random.default_rng(26)
-    # Up to 1e50: the bi-weight's (1 + r^2)^2 overflows past 1e77 either way.
+    far = [1e50, 1e76, 1e77, 1e154, 1e160, 1e300]
     m = np.concatenate([rng.standard_normal(200) * 10.0**rng.integers(-3, 3, 200),
-                        [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1e50, -1e50]])
+                        [0.0, -0.0, 40.0, -40.0, 800.0, -800.0], far, np.negative(far)])
     for loss in _all_losses():
         if isinstance(loss, (QuadraticLoss, ObservedQuadraticLoss)):
             continue  # no per-sample terms: both keep their own paths
         y = rng.choice(loss._y, m.size)
         values, dm = loss._terms(m, y)
-        np.testing.assert_array_equal(values, loss._values(m, y))
-        np.testing.assert_array_equal(dm, loss._dmargin(m, y))
+        # The bi-weight's formulas overflow past |r| = 1e76; there the test
+        # below checks _terms against exact values.
+        keep = (np.abs(m - y) <= 1e76 if isinstance(loss, BiWeightLoss)
+                else np.ones(m.size, dtype=bool))
+        mk, yk = m[keep], y[keep]
+        assert values[keep].tobytes() == _values(loss, mk, yk).tobytes()
+        assert dm[keep].tobytes() == _dmargin(loss, mk, yk).tobytes()
+
+
+def test_biweight_terms_are_exact_far_from_the_fit():
+    # From |r| = 1e76 to 1e300 the value is 1 and the slope 2 r / (1 + r^2)^2
+    # to within 4 ulps, with no overflow on the way.
+    loss = BiWeightLoss(_toy_tabular(4, 2, 31))
+    r = np.concatenate([np.logspace(76, 300, 300), -np.logspace(76, 300, 300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, dm = loss._terms(r, np.zeros(r.size))
+    assert (values == 1.0).all()
+    for ri, got in zip(r, dm):
+        x = Fraction(float(ri))
+        want = float(2 * x / (1 + x * x) ** 2)
+        assert abs(got - want) <= 4 * np.spacing(abs(want)), ri
+    # A model 1e160 away from the data: each sample adds 1, and the run's
+    # finiteness guards have nothing to catch.
+    f, g = loss.value_and_gradient(np.full(2, 1e160))
+    assert f == pytest.approx(4.0) and np.isfinite(g).all()
+
+
+class _PseudoHuber(Loss):
+    """sum_i sqrt(1 + (w_i - c_i)^2): a user loss that defines only what a
+    Loss must, so evaluate, gradient and _chord are the base class's."""
+
+    def __init__(self, center):
+        self.center = np.asarray(center, dtype=np.float64)
+        self.shape = self.center.shape
+        self.n_samples = self.center.size
+
+    def value_and_gradient(self, w):
+        diff = np.asarray(w, dtype=np.float64) - self.center
+        root = np.sqrt(1.0 + diff * diff)
+        return float(root.sum()), diff / root
+
+    def stochastic_gradient(self, w, indices):
+        idx = self._check_indices(indices)
+        g = np.zeros(self.shape)
+        g[idx] = self.gradient(w)[idx]
+        return (self.n_samples / idx.size) * g
+
+    def smoothness(self):
+        return 1.0
+
+
+def test_user_loss_defines_only_value_and_gradient():
+    loss = _PseudoHuber([0.3, -0.2, 0.1])
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        w = rng.standard_normal(3)
+        f, g = loss.value_and_gradient(w)
+        assert loss.evaluate(w) == f
+        assert loss.gradient(w).tobytes() == g.tobytes()
+        np.testing.assert_allclose(g, _fd_gradient(loss, w), atol=1e-8)
+    ball = LpBall(p=2.0, r=1.0, d=3)
+    f_star = 3.0  # the center lies inside the ball
+    fw = fw_run(loss, ball, ExactLineSearch(tol=1e-10), 100,
+                rng=np.random.default_rng(33))
+    pa = pa_run(loss, ball, "A", 100, rng=np.random.default_rng(34))
+    for trace in (fw, pa):
+        assert trace.loss_f[-1] - f_star < 1e-3 * (trace.loss_f[0] - f_star)
+    # The exact rule's chord is the base class's probe of value_and_gradient.
+    w, v = ball.lmo(np.ones(3)), ball.lmo(-np.ones(3))
+    phi, dphi = loss._chord(w, v)
+    assert phi(0.25) == loss.evaluate(w + 0.25 * (v - w))
 
 
 def _count_sigmoid_calls(monkeypatch):

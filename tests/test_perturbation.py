@@ -190,3 +190,18 @@ def test_make_perturbed_validation():
         PerturbedLoss(base, -1.0, np.ones(2), 0.1)
     with pytest.raises(ValueError):
         PerturbedLoss(base, 1.0, np.ones(3), 0.1)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_perturbed_loss_rejects_non_finite_theta(theta):
+    # A bad tilt is a bad input, not a run that diverges at its first step.
+    base = _quadratic_centered([0.0, 0.0])
+    with pytest.raises(ValueError, match="theta"):
+        PerturbedLoss(base, theta, np.ones(2), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_perturbed_loss_rejects_non_finite_xi(bad):
+    base = _quadratic_centered([0.0, 0.0])
+    with pytest.raises(ValueError, match="xi"):
+        PerturbedLoss(base, 0.1, np.array([0.6, bad]), 0.1)
