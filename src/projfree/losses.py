@@ -2,13 +2,13 @@
 
 A loss defines value_and_gradient(w), one margin or residual pass, plus
 stochastic_gradient(w, idx) and smoothness(); evaluate and gradient return
-the parts of value_and_gradient.  Three losses override gradient for runs
-that take no value: the quadratic (its O(d^2) Gram form), the tilted loss
-and the observed-entry quadratic.  A tabular loss writes its per-sample
-value and slope once, in _terms(m, y).  The line search's _chord(w, v)
-makes one pass per distinct step size, with a memo of two floats per step
-size.  The stochastic form returns (N / |idx|) * sum of per-sample
-gradients so that the full index set reproduces gradient(w) exactly.
+the parts of value_and_gradient.  Two losses override gradient for runs
+that take no value: the quadratic (its O(d^2) Gram form) and the tilted
+loss, which reaches that Gram form through its base.  A tabular loss writes
+its per-sample value and slope once, in _terms(m, y).  The line search's
+_chord(w, v) makes one pass per distinct step size, with a memo of two
+floats per step size.  The stochastic form returns (N / |idx|) times the
+sum of per-sample gradients: the full index set reproduces gradient(w).
 smoothness() is a proven global bound on the gradient's Lipschitz constant
 in the Euclidean norm, from a closed form for each loss.
 """
@@ -334,11 +334,14 @@ class BiWeightLoss(_TabularLoss):
         r = m - y
         # Past |r| = 1e76 (1 + r^2)^2 overflows, past 1.3e154 r^2 too; 1 + r^2
         # is r^2 there, so the value is 1 and the slope 2 / r^3, one r at a time.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, dm = r * r / (1.0 + r * r), 2.0 * r / (1.0 + r * r) ** 2
-        far = np.abs(r) > 1e76
-        rf = r[far]
-        values[far], dm[far] = 1.0, 2.0 / rf / rf / rf
+        far = None if np.abs(r).max() <= 1e76 else np.abs(r) > 1e76
+        if far is not None:
+            r, rf = np.where(far, 0.0, r), r[far]
+        r2 = r * r
+        q = 1.0 + r2
+        values, dm = r2 / q, 2.0 * r / q**2
+        if far is not None:
+            values[far], dm[far] = 1.0, 2.0 / rf / rf / rf
         return values, dm
 
 
@@ -363,10 +366,6 @@ class ObservedQuadraticLoss(Loss):
         g = np.zeros(self.shape)
         g.flat[self._idx] = 2.0 * diff
         return g
-
-    def gradient(self, w) -> np.ndarray:
-        # PA's step on matrix completion takes the gradient alone.
-        return self._spread(self._diff(w))
 
     def value_and_gradient(self, w):
         diff = self._diff(w)

@@ -236,6 +236,22 @@ def test_biweight_terms_are_exact_far_from_the_fit():
     assert f == pytest.approx(4.0) and np.isfinite(g).all()
 
 
+def test_biweight_far_residuals_leave_the_others_alone():
+    # One far residual sends the whole call down the far path; the near
+    # ones keep the bits of the formulas, and a NaN stays NaN quietly.
+    loss = BiWeightLoss(_toy_tabular(4, 2, 31))
+    m = np.array([0.5, -3.0, 1e100, np.nan, -0.0, 1e76])
+    y = np.zeros(m.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, dm = loss._terms(m, y)
+    near = [0, 1, 4, 5]
+    assert values[near].tobytes() == _values(loss, m[near], y[near]).tobytes()
+    assert dm[near].tobytes() == _dmargin(loss, m[near], y[near]).tobytes()
+    assert values[2] == 1.0 and dm[2] == 2.0 / 1e100 / 1e100 / 1e100
+    assert np.isnan(values[3]) and np.isnan(dm[3])
+
+
 class _PseudoHuber(Loss):
     """sum_i sqrt(1 + (w_i - c_i)^2): a user loss that defines only what a
     Loss must, so evaluate, gradient and _chord are the base class's."""
