@@ -333,12 +333,6 @@ def _build_region(sec: dict, model_shape: tuple):
     return GroupLpqBall(p=p, q=sec["q"], r=r, m=m, n=n)
 
 
-def _projection_supported(region) -> bool:
-    if isinstance(region, (LpBall, SchattenPBall)):
-        return region.p <= 2.0 or math.isinf(region.p)
-    return region.p == 2.0 and (region.q <= 2.0 or math.isinf(region.q))
-
-
 def run_from_config(cfg: dict, overrides=None):
     """Build everything from a parsed config and run; returns (trace, info).
 
@@ -376,11 +370,10 @@ def run_from_config(cfg: dict, overrides=None):
         return opt["smoothness"]
 
     kind = opt["kind"]
-    if kind in ("gd", "sgd") and not _projection_supported(region):
+    if kind in ("gd", "sgd") and isinstance(region, GroupLpqBall) and region.p != 2.0:
         raise ConfigError(
             "optimizer.kind: projected methods need a projection for this set; "
-            "supported exponents are p in [1, 2] or inf (group sets: p = 2, "
-            "q in [1, 2] or inf)"
+            "group sets have one for inner exponent p = 2 only"
         )
 
     if kind == "fw":

@@ -1,10 +1,10 @@
 """Norm-ball constraint sets: l_p, Schatten-p, and group l_{p,q} balls.
 
 Each set exposes a closed-form linear minimization oracle (lmo), a Euclidean
-projection for exponents in [1, 2] or inf (closed form, or safeguarded Newton
-on the KKT multiplier for 1 < p < 2), its strong-convexity parameter,
-diameters and membership tests.  Oracles are deterministic on ties and zeros.
-Arguments go through numerics.as_shaped, group row norms through _row_norms.
+projection (closed form at p = 1, 2, inf, else Newton on the KKT multiplier),
+its strong-convexity parameter, diameters and membership tests.  Oracles are
+deterministic on ties and zeros.  Arguments go through numerics.as_shaped,
+group row norms through _row_norms.
 """
 
 import math
@@ -18,10 +18,10 @@ from .numerics import as_shaped, lp_norm, svd
 # treated as already feasible by project().
 _FEASIBLE_SLACK = 1e-12
 
-# The l_p projection (1 < p < 2) lands inside the ball within _PROJ_RTOL * r
-# of its boundary; each of its Newton solves gives up after _NEWTON_MAX_ITER.
-_PROJ_RTOL = 1e-10
-_NEWTON_MAX_ITER = 200
+# The l_p projection (1 < p < inf, p != 2) lands inside the ball within
+# _PROJ_RTOL * r of its boundary; each Newton solve gives up after 100 steps.
+_PROJ_RTOL = 1e-11
+_NEWTON_MAX_ITER = 100
 
 _TINY = np.finfo(float).tiny
 
@@ -80,65 +80,76 @@ def _project_simplex(a: np.ndarray, r: float) -> np.ndarray:
     return np.where(a >= top, (a - top) + (r - s[rho - 1]) / rho, 0.0)
 
 
-def _lp_magnitudes(a: np.ndarray, p: float, lam: float, s: np.ndarray):
-    """t(lam), s = t^(p-1) and dt/dlam for lam > 0, from any s right of the root.
+def _project_lp_kkt(x: np.ndarray, p: float, r: float) -> np.ndarray:
+    """Projection onto the l_p ball, 1 < p < inf and p != 2, for ||x||_p > r.
 
-    Each t_i solves t + lam p t^(p-1) = a_i, that is s^k + lam p s = a_i with
-    k = 1 / (p - 1): convex and increasing in s, so Newton from the right
-    decreases onto the root.  a^(p-1), a / (lam p) and the s of a smaller
-    multiplier all lie right of it.  The last step is taken in t, which keeps
-    the digits that s^k loses for p near 1.
+    With a = |x| / max|x|, the answer is x e^u where t = a e^u solves the KKT
+    equation t + mu t^(p-1) = a: e^u + e^(v + (p-1) u) = 1, v = ln mu +
+    (p-2) ln a, is convex and increasing in u for every p > 1, so Newton
+    from the right falls onto the root and from the left lands right of it,
+    as does the cap u <= min(0, -v / (p-1)) (t <= a, t <= (a/mu)^(1/(p-1))).
+    ell = ln mu and an expm1 keep the range at p = 50 and the digits next to
+    p = 1; steps in u are weighed against 1 + 1e-6 |u|, as large u lose digits.
+
+    ell solves N = ||t||_p = r (1 - _PROJ_RTOL / 2) / max|x| by Newton on the
+    model mu = gamma (alpha - N) N^(1-p) of one coordinate, fitted to N and
+    dN/dmu: exact for tied entries, in the far field and as p -> 1, so its
+    step count does not grow with ||x|| / r.  It starts from the model at
+    mu = 0 or the far-field bound on mu, whichever is smaller, and passes the
+    bound only after a point inside the ball.  Steps that leave the bracket
+    of multipliers seen outside and inside the ball bisect it.
     """
-    c, k = lam * p, 1.0 / (p - 1.0)
-    s = np.minimum(s, a / c)
+    top = float(np.abs(x).max())
+    a = np.abs(x) / top
+    if not a.all():  # zeros, and entries below 5e-324 max|x|, stay zero
+        out = np.zeros_like(x)
+        out[a > 0.0] = _project_lp_kkt(x[a > 0.0], p, r)
+        return out
+    log_a = np.log(a)
+    m1, bend = p - 1.0, (p - 2.0) * log_a
+    # ln sum a^k for the norm, the slope at mu = 0 and the dual norm
+    lp, l2, lq = (math.log(float(np.exp(k * log_a).sum())) for k in (p, 2 * m1, p / m1))
+    log_rho = math.log(r) - math.log(top)
+    excess = lp / p - log_rho  # ln(N / rho) at mu = 0, > 0
+    target = log_rho + math.log1p(-0.5 * _PROJ_RTOL)
+    far = lq * m1 / p - m1 * target  # the far-field bound, above the root
+    ell = min(far, lp - l2 + m1 * excess + math.log(-math.expm1(-excess)))
+    lo, hi, u = -math.inf, math.inf, np.zeros_like(log_a)
     for _ in range(_NEWTON_MAX_ITER):
-        sk1 = s ** (k - 1.0)
-        step = (sk1 * s + c * s - a) / (k * sk1 + c)
-        s = s - step
-        if not np.any(step > 1e-13 * s):
-            break
-    else:
-        raise NumericFailure("l_p projection: coordinate Newton did not converge")
-    t = s ** k
-    # Zero only where t = s = 0 (zero inputs, underflow); the ratios are 0 there.
-    den = np.maximum(t + c * (p - 1.0) * s, np.finfo(float).tiny)
-    t = t - t * (t + c * s - a) / den
-    return t, s, -p * s * t / den
-
-
-def _project_lp_interior(x: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Projection onto the l_p ball, 1 < p < 2, for ||x||_p > r, by Newton on
-    the KKT multiplier: phi(lam) = ||t(lam)||_p^p - r^p falls from phi(0) > 0.
-    Steps that leave the bracket [lo, hi] (outside, inside the ball) or find
-    phi flat bisect it, or double lo while hi is unbounded.  Newton aims at
-    mid-band, r (1 - _PROJ_RTOL / 2): aimed at r it creeps up from outside.
-    """
-    a = np.abs(x)
-    target = (r * (1.0 - 0.5 * _PROJ_RTOL)) ** p
-    lam, lo, hi = 0.0, 0.0, math.inf
-    t, s = a, a ** (p - 1.0)
-    s_lo, dt = s, -p * s
-    for _ in range(_NEWTON_MAX_ITER):
-        norm = lp_norm(t, p)
-        if norm > r:
-            lo, s_lo = lam, s
-        elif r - norm <= _PROJ_RTOL * r:
-            return np.sign(x) * t
+        v = ell + bend
+        u = np.minimum(u, np.minimum(0.0, v / -m1))
+        for _ in range(_NEWTON_MAX_ITER):
+            e1 = np.exp(u)
+            em = np.expm1(v + m1 * u)
+            d = e1 + m1 * (1.0 + em)
+            step = (e1 + em) / d
+            u -= step
+            if np.max(np.abs(step) / (1.0 - 1e-6 * u)) <= 1e-7:
+                break
         else:
-            hi = lam
-        slope = p * float(np.sum(s * dt))
-        try:
-            lam = lam - (norm**p - target) / slope if slope < 0.0 else math.nan
-        except OverflowError:  # ||t||_p^p past the float range, as at 1e300
-            raise NumericFailure("l_p projection: ||t||_p^p overflows") from None
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
-        t, s, dt = _lp_magnitudes(a, p, lam, s_lo)
+            raise NumericFailure("l_p projection: coordinate Newton did not converge")
+        z = p * (u + log_a)
+        w = np.exp(z - z.max())
+        g = (float(z.max()) + math.log(float(w.sum()))) / p - target  # ln(N / target)
+        if abs(g) <= 0.4 * _PROJ_RTOL:
+            return x * np.exp(u)
+        lo, hi = (ell, hi) if g > 0.0 else (lo, ell)
+        du = -(1.0 + em) / d  # du / d ell, in [-1/(p-1), 0]
+        slope = float(w @ du) / float(w.sum())
+        c = -1.0 / slope - m1 if slope else math.inf  # the model's N / (alpha - N)
+        ratio = 1.0 - c * math.expm1(min(-g, 700.0))  # (alpha - target) / (alpha - N)
+        new = ell + m1 * g + math.log(ratio) if ratio > 0.0 else ell - g / slope
+        if hi == math.inf and lo < far:  # nothing inside the ball seen yet
+            new = min(new, far)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        u += du * (new - ell)
+        ell = new
     raise NumericFailure("l_p projection: multiplier Newton did not converge")
 
 
 def _project_lp_vector(x: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Euclidean projection onto {v : ||v||_p <= r} for p in [1, 2] or inf."""
+    """Euclidean projection onto {v : ||v||_p <= r} for p in [1, inf]."""
     norm = lp_norm(x, p)
     if norm <= r * (1.0 + _FEASIBLE_SLACK):
         return x
@@ -148,9 +159,7 @@ def _project_lp_vector(x: np.ndarray, p: float, r: float) -> np.ndarray:
         return x * (r / norm)
     if p == 1.0:
         return np.sign(x) * _project_simplex(np.abs(x), r)
-    if 1.0 < p < 2.0:
-        return _project_lp_interior(x, p, r)
-    raise ValueError(f"projection onto an l_{p} ball is not supported (p > 2)")
+    return _project_lp_kkt(x, p, r)
 
 
 class FeasibleSet:
@@ -382,9 +391,7 @@ class GroupLpqBall(FeasibleSet):
     def project(self, x) -> np.ndarray:
         x = as_shaped(x, self.shape)
         if self.p != 2.0:
-            raise ValueError(
-                "group-ball projection is implemented for inner exponent p = 2 only"
-            )
+            raise ValueError("group-ball projection needs inner exponent p = 2")
         norms = self._row_norms(x, 2.0)
         shrunk = _project_lp_vector(norms, self.q, self.r)
         if shrunk is norms:  # feasible inputs pass through

@@ -127,8 +127,12 @@ def test_run_iters_override(runner, tmp_path):
         (lambda c: c.pop("set"), "missing required section"),
         (lambda c: c["optimizer"].update(step_rule="warp"), "expected one of"),
         (lambda c: c["optimizer"].update(option="A"), "unknown field"),
-        (lambda c: c["set"].update(p=3.0) or c["optimizer"].update(
-            {"kind": "gd", "eta": 0.1}) or c["optimizer"].pop("step_rule"),
+        (lambda c: c.update(
+            dataset={"kind": "synthetic-lowrank", "m": 6, "n": 5, "rank": 2,
+                     "fraction": 0.5, "seed": 1},
+            loss={"kind": "observed-quadratic"},
+            set={"kind": "group", "p": 1.5, "q": 1.5, "r": 1.0},
+            optimizer={"kind": "gd", "eta": 0.1}),
          "need a projection"),
         (lambda c: c["dataset"].update(noise=-1.0), "must be >="),
     ],
@@ -223,6 +227,17 @@ def test_run_numeric_failure_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 3
     assert "numeric failure" in result.stderr
+
+
+@pytest.mark.parametrize("kind", ["gd", "sgd"])
+def test_run_projected_methods_on_an_l3_ball(runner, tmp_path, kind):
+    opt = {"gd": {"eta": 0.01}, "sgd": {"eta0": 0.01, "batch": 8}}[kind]
+    cfg = _base_config(set={"kind": "lp", "p": 3.0, "r": 0.5},
+                       optimizer={"kind": kind, "iters": 20, **opt})
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "iterations: 20" in result.output
 
 
 def test_run_projects_far_outside_a_tiny_l1_ball(runner, tmp_path):

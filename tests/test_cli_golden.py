@@ -100,7 +100,7 @@ GOLDEN = {
     "pa-B": ("pa/B", "ad77eb5aade0cdbc13794da55782699906e47c37875b858f1c185ebbedbb5f0d"),
     "pa-A-tilted": ("pa/A", "04a10b10b31fe708230d9bc6798da947958010082945bbf61b7ddc66aa2b6b76"),
     "spa": ("spa", "3bccfd07a2650377a315737c9bed1eac09e7b085e3fe52eeabd3738731ba5b7e"),
-    "gd-auto": ("gd/eta=0.006209", "35a0c7f9f01df340a1193288d5db251408870e119d8cf76ee063d9ac72452316"),
+    "gd-auto": ("gd/eta=0.0118", "6b5e455c86aab9ec07cc019bd0e5b1ce813058aee9b54c3417c4aabf04de9b63"),
     "gd-number": ("gd/eta=0.01", "bb24e6a2ce0ca81ef935e5aea26cb23dbe04d808241cc55e36b8d63d6d39f5b1"),
     "sgd-sqrt": ("sgd", "b2add119b9e0fb819489b28dafa741debacc009e0c1c79e63b3823c5ed66afea"),
     "sgd-constant": ("sgd", "57b1f85d688b62798ab4189cbbd0c483a40ded975a6f7f7ecd890e0bd9c3f30f"),

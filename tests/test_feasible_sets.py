@@ -363,9 +363,8 @@ def test_project_idempotent_and_variational(region):
 
 
 def test_project_unsupported_exponent():
-    with pytest.raises(ValueError):
-        LpBall(p=3.0, r=1.0, d=2).project(np.array([5.0, 5.0]))
-    with pytest.raises(ValueError):
+    # Every l_p and Schatten exponent projects; group balls need inner p = 2.
+    with pytest.raises(ValueError, match="inner exponent p = 2"):
         GroupLpqBall(p=1.5, q=1.5, r=1.0, m=2, n=2).project(np.ones((2, 2)))
 
 
@@ -388,7 +387,7 @@ def test_project_l15_extreme_radii_land_on_boundary(radius):
 
 
 def _bisection_projection(x: np.ndarray, p: float, r: float) -> np.ndarray:
-    """Reference l_p projection, 1 < p < 2, ||x||_p > r: nested bisection.
+    """Reference l_p projection, p > 1, ||x||_p > r: nested bisection.
 
     The outer bisection on the KKT multiplier lam stops on a feasible norm
     within 1e-10 * r of r; for each lam, 90 inner bisection passes on [0, |x_i|]
@@ -450,7 +449,7 @@ def _extreme_inputs(d: int, rng: np.random.Generator) -> dict:
 
 @pytest.mark.parametrize("d", [2, 10, 1000])
 @pytest.mark.parametrize(
-    "p", [1.0 + 1e-6, 1.001, 1.1, 1.5, 1.9, 1.999, 1.999999]
+    "p", [1.0 + 1e-6, 1.001, 1.1, 1.5, 1.9, 1.999, 1.999999, 3.0, 50.0]
 )
 def test_project_lp_interior_extremes_match_bisection(p, d):
     # The projection scales with the radius, so one reference at r = 1 serves
@@ -473,7 +472,7 @@ def test_project_lp_interior_extremes_match_bisection(p, d):
 
 def test_project_lp_interior_subnormal_inputs():
     x = np.array([1.0, 1e-320, -3e-310, 0.0, -2.0])
-    for p in (1.0 + 1e-6, 1.001, 1.5, 1.999):
+    for p in (1.0 + 1e-6, 1.001, 1.5, 1.999, 3.0, 50.0):
         ball = LpBall(p=p, r=1.0, d=5)
         v = ball.project(x)
         assert 1.0 - 1e-10 <= ball.norm(v) <= 1.0, p

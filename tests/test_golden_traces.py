@@ -8,7 +8,8 @@ to the run loop that moves any recorded number, snapshot or iterate shows
 up here by name.
 
 The hashes were captured with numpy 2.4 on OpenBLAS 0.3 (x86-64).  A BLAS
-that rounds differently changes them; print the current table with
+that rounds differently changes them; print the current table, each run's
+last loss_f and fw_gap beside its hash, with
 `python tests/test_golden_traces.py` and compare it against a known-good
 commit before replacing it.
 """
@@ -127,12 +128,14 @@ def _runs():
         loss, ball, ITERS, record_timings=timed, on_iterate=hook)
     runs["spa-tilted"] = lambda hook, timed: spa_run(
         tilted, ball, ITERS, rng=_rng(9), record_timings=timed, on_iterate=hook)
-    # The l_1.5 projection is an iterative Newton solve, so only one projected
-    # run exercises it; the others project onto an l2 ball in closed form.
+    # The l_1.5 and l_3 projections are iterative Newton solves, so only two
+    # projected runs exercise them; the others project onto an l2 ball in
+    # closed form.
     l2 = LpBall(p=2.0, r=0.6, d=8)
     biased, _ = _vector_problem(bias=True)
     for name, gd_loss, gd_ball in (("gd", loss, ball), ("gd-bias", biased, l2),
-                                   ("gd-tilted", tilted, l2)):
+                                   ("gd-tilted", tilted, l2),
+                                   ("gd-p3", loss, LpBall(p=3.0, r=0.6, d=8))):
         runs[name] = lambda hook, timed, gd_loss=gd_loss, gd_ball=gd_ball: (
             projected_gd_run(gd_loss, gd_ball, 2e-3, ITERS, rng=_rng(10),
                              record_timings=timed, on_iterate=hook))
@@ -211,9 +214,10 @@ GOLDEN = {
     "spa": "59950c3d3af1719d45df5b8ec41f59ad8d6e11f028c8f8be7760f7683bfbb09b",
     "spa-default-rng": "82c288a2b37b188a79d3b605da745b5dc7a1ce4ce7d7311d69de374ce2ba73c9",
     "spa-tilted": "fd9ae1ff89876636255bad67ac28926c0bc24d1ef2b5de1c734e1695c4b9bff9",
-    "gd": "5d358b8c88a7b4aa466d96f6c11e316196f4daeb92baf4b0f0f9d18a2a213cd4",
+    "gd": "3f951ebef052aa03ab48591c63091c7c835814b4e0c05c93b764fc018bd9061d",
     "gd-bias": "92d403ad54188d96d526284622559d11aa789513cf7eb9c9a8df01b6b42a41ac",
     "gd-tilted": "c8741188f9f5ade3a1a9c054b93a93d4cc2aa579ed50ddbf5d3d1d84b6d334f5",
+    "gd-p3": "e7830a38939987f78f1ba30b5a4aedf9c96b28ca7a6e4322b50ce56ab5d63678",
     "sgd-sqrt": "71d1e7a36be27048f67dc81bf66880b00eebed73969fbeb7793f15d65d806847",
     "sgd-constant": "24c49c791c5257c2fc6fff4b07c23defb659824ad0304af827f5897e87e4ae38",
     "sgd-tilted": "15994255f51078c1e556d1292e7ffdc0711048ae18214757efb51ea1ca5c9c92",
@@ -245,6 +249,9 @@ def test_timing_columns_per_method():
 
 
 if __name__ == "__main__":
+    # The last loss_f and fw_gap show how far a recaptured run moved.
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in _runs().items():
-            sys.stdout.write(f'    "{name}": "{_digest(run, Path(tmp))}",\n')
+            last = run(None, False)
+            sys.stdout.write(f'    "{name}": "{_digest(run, Path(tmp))}",  '
+                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}\n")

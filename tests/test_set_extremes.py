@@ -16,11 +16,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from projfree.errors import NumericFailure
 from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall
 
 EXPONENTS = [1.0, 1.0 + 1e-6, 1.5, 2.0, 3.0, 50.0, math.inf]
 CLOSED_FORM = [1.0, 2.0, math.inf]
+NEWTON = [1.0 + 1e-6, 1.5, 3.0, 50.0]
 EPS = np.finfo(float).eps
 
 _vector_dims = st.one_of(st.integers(1, 8), st.sampled_from([50, 1000]))
@@ -128,54 +128,56 @@ def _check_projection(region, x, tol):
 _radii = st.sampled_from([1e-300, 1e-17, 1e-3, 1.0, 1e3])
 
 
-def _closed_form_balls(r):
-    return st.one_of(
-        _lp_balls(CLOSED_FORM, r),
-        _schatten_balls(CLOSED_FORM, r),
-        _group_balls([2.0], CLOSED_FORM, r),
-    )
+def _far_outside(data, exponents, r, decades):
+    """A ball with exponents p (group balls: q, for inner p = 2) and radius r,
+    and an input 10^decades radii outside it, its largest entry at most 1e300."""
+    region = data.draw(st.one_of(
+        _lp_balls(exponents, r),
+        _schatten_balls(exponents, r),
+        _group_balls([2.0], exponents, r),
+    ))
+    direction = data.draw(_direction(region.shape))
+    assume(direction.any() and 10.0**decades * r <= 1e300)
+    return region, _outside(region, direction, 10.0**decades)
 
 
 @settings(max_examples=400)
 @given(st.data(), _radii, st.floats(0.2, 300.0))
 def test_closed_form_projection_is_feasible_and_variational(data, r, decades):
-    # Ratios ||x|| / r from 1.6 to 1e300, the largest entry at most 1e300.
-    region = data.draw(_closed_form_balls(r))
-    direction = data.draw(_direction(region.shape))
-    assume(direction.any() and 10.0**decades * r <= 1e300)
-    _check_projection(region, _outside(region, direction, 10.0**decades), 1e-9)
+    # Ratios ||x|| / r from 1.6 to 1e300.
+    _check_projection(*_far_outside(data, CLOSED_FORM, r, decades), 1e-9)
 
 
-@settings(max_examples=150)
-@given(st.data(), st.sampled_from([1e-200, 1e-17, 1e-3, 1.0, 1e3]),
-       st.floats(0.2, 30.0))
+@settings(max_examples=400)
+@given(st.data(), _radii, st.floats(0.2, 300.0))
 def test_newton_projection_is_feasible_and_variational(data, r, decades):
-    # 1 < p < 2 projects by Newton on the KKT multiplier, in powers
-    # ||t||_p^p that underflow below r = 1e-200 at p = 1.5 and overflow far
-    # beyond ||x|| / r = 1e30.  At p = 1 + 1e-6 its stop band, 1e-10 r, is
-    # narrower than the rounding of t, about eps ||x||, from ratios near 1e6,
-    # so that exponent is kept to ratios of at most 1e3.
-    region = data.draw(st.one_of(
-        _lp_balls([1.0 + 1e-6, 1.5], r),
-        _schatten_balls([1.0 + 1e-6, 1.5], r),
-        _group_balls([2.0], [1.0 + 1e-6, 1.5], r),
-    ))
-    exponent = getattr(region, "q", region.p)
-    if exponent < 1.5:
-        decades = min(decades, 3.0)
-    direction = data.draw(_direction(region.shape))
-    assume(direction.any())
-    _check_projection(region, _outside(region, direction, 10.0**decades), 1e-9)
+    # The multiplier Newton at the closed forms' ranges: ratios up to 1e300,
+    # radii down to 1e-300, p from 1 + 1e-6 to 50.
+    _check_projection(*_far_outside(data, NEWTON, r, decades), 1e-9)
 
 
-@pytest.mark.parametrize("p", [1.1, 1.5])
-def test_newton_projection_overflow_is_a_numeric_failure(p):
-    # At max|x| = 1e300, ||x||_p^p is past the float range; the solve must
-    # fail with the error the CLI maps to exit 3, not an OverflowError.
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+def test_newton_projection_at_max_entry_1e300(p):
+    # ||x||_p^p is past the float range here; the solve never forms it.
     x = np.random.default_rng(0).standard_normal(1000)
     x *= 1e300 / np.abs(x).max()
-    with pytest.raises(NumericFailure, match="overflows"):
-        LpBall(p, 1.0, 1000).project(x)
+    _check_projection(LpBall(p, 1.0, 1000), x, 1e-9)
+
+
+def _spread(d, top):
+    x = np.random.default_rng(1).standard_normal(d)
+    return x * (top / np.abs(x).max())
+
+
+@pytest.mark.parametrize("p, r, x", [
+    (1.5, 1.0, _spread(1000, 1e60)),  # powers of the raw entries overflowed
+    (1.1, 1.0, _spread(1000, 1e100)),
+    (1.5, 1e-300, np.array([1e-299])),  # r^p underflowed
+    (1.0 + 1e-6, 1e-9, np.array([1.0, 2.0])),  # t = |x_i| - lam p t^(p-1) lost t
+    (1.5, 1.0, np.array([1e300, 1e-30])),  # |x_i| / max|x| underflows
+], ids=["p1.5-max1e60", "p1.1-max1e100", "r1e-300", "p1+1e-6-r1e-9", "ratio-underflow"])
+def test_newton_projection_cases_that_used_to_fail(p, r, x):
+    _check_projection(LpBall(p, r, x.size), x, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,7 @@ def test_l1_projection_matches_exact_arithmetic(entries, log_ratio, log_r):
     ball = LpBall(1.0, r, len(entries))
     u = np.array(entries)
     x = u * (10.0**log_ratio * r / float(np.abs(u).max()))
-    assume(ball.norm(x) > r)
+    assume(ball.norm(x) > r * (1.0 + 1e-12))  # nearer points pass through
     got = ball.project(x)
     want = _exact_l1_projection(x, r)
     err = max(abs(Fraction(float(g)) - Fraction(w)) for g, w in zip(got, want))
