@@ -3,8 +3,10 @@
 Each set exposes a closed-form linear minimization oracle (lmo), a Euclidean
 projection (closed form at p = 1, 2, inf, else Newton on the KKT multiplier),
 its strong-convexity parameter, diameters and membership tests.  Oracles are
-deterministic on ties and zeros.  Arguments go through numerics.as_shaped,
-group row norms through _row_norms.
+deterministic on ties and zeros.  Arguments go through numerics.as_shaped.
+The oracles are built on one dual-norm witness, _max_unit_vector, taken on a
+vector, on singular values or on rows, and group row norms are
+numerics.lp_norms.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import NumericFailure
-from .numerics import as_shaped, lp_norm, svd
+from .numerics import as_shaped, lp_norm, lp_norms, svd
 
 # Points whose set-norm is within this relative slack of the radius are
 # treated as already feasible by project().
@@ -35,25 +37,26 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _max_unit_vector(c: np.ndarray, p: float) -> np.ndarray:
-    """The unit-l_p-norm vector u maximizing <u, c>, for c != 0.
+def _max_unit_vector(c: np.ndarray, p: float) -> tuple:
+    """Over the last axis: the unit-l_p-norm u maximizing <u, c>, and ||c||_q.
 
-    Attains <u, c> = ||c||_q with q the conjugate exponent.  Ties on the
-    p = 1 branch resolve to the lowest index.
+    u attains <u, c> = ||c||_q with q the conjugate exponent.  Zero rows
+    give zero rows, and ties on the p = 1 branch resolve to the lowest index.
     """
-    if math.isinf(p):
-        return np.sign(c)
-    if p == 1.0:
-        j = int(np.argmax(np.abs(c)))
-        u = np.zeros_like(c)
-        u[j] = math.copysign(1.0, c[j])
-        return u
+    a = np.abs(c)
     q = _conjugate(p)
-    nq = lp_norm(c, q)
-    if nq < _TINY:  # a subnormal norm keeps a few bits; rescale c exactly
-        c = np.ldexp(c, 1022)
-        nq = lp_norm(c, q)
-    return np.sign(c) * (np.abs(c) / nq) ** (q - 1.0)
+    dual = lp_norms(a, q)
+    if math.isinf(p):
+        return np.sign(c), dual
+    if p == 1.0:
+        first = np.arange(a.shape[-1]) == a.argmax(axis=-1)[..., None]
+        return np.where(first, np.sign(c), 0.0), dual
+    scale = dual + (dual == 0.0)  # a zero row over 1
+    low = scale < _TINY
+    if np.count_nonzero(low):  # a subnormal norm keeps a few bits; rescale those rows
+        a = np.ldexp(a.T, 1022 * low).T
+        scale = np.where(low, lp_norms(a, q), scale)
+    return np.sign(c) * (a.T / scale).T ** (q - 1.0), dual
 
 
 def _lp_strong_convexity(p: float, r: float) -> float:
@@ -246,7 +249,7 @@ class LpBall(FeasibleSet):
                 return -self.r * (c / math.sqrt(s))
         if not c.any():
             return self._first_vertex()
-        return -self.r * _max_unit_vector(c, self.p)
+        return -self.r * _max_unit_vector(c, self.p)[0]
 
     def project(self, x) -> np.ndarray:
         return _project_lp_vector(as_shaped(x, self.shape), self.p, self.r)
@@ -291,7 +294,7 @@ class SchattenPBall(FeasibleSet):
             dec = svd(np.ldexp(c, 1022))
         if not dec.s.any():  # zero input or numerically zero spectrum
             return self._first_vertex()
-        w = _max_unit_vector(dec.s, self.p)
+        w = _max_unit_vector(dec.s, self.p)[0]
         return -self.r * (dec.u * w) @ dec.v.T
 
     def project(self, x) -> np.ndarray:
@@ -340,26 +343,12 @@ class GroupLpqBall(FeasibleSet):
             f"m={self.m}, n={self.n})"
         )
 
-    def _row_norms(self, x: np.ndarray, p: float) -> np.ndarray:
-        """l_p norm of each row, rescaled by the row maximum as in lp_norm."""
-        a = np.abs(x)
-        top = a.max(axis=1)
-        if math.isinf(p):
-            return top
-        if p == 1.0:
-            return a.sum(axis=1)
-        a /= np.where(top > 0.0, top, 1.0)[:, None]
-        if p == 2.0:
-            return top * np.sqrt(np.sum(a ** 2, axis=1))
-        return top * np.sum(a ** p, axis=1) ** (1.0 / p)
-
     def norm(self, x) -> float:
-        return lp_norm(self._row_norms(as_shaped(x, self.shape), self.p), self.q)
+        return lp_norm(lp_norms(np.abs(as_shaped(x, self.shape)), self.p), self.q)
 
     def dual_norm(self, c) -> float:
-        z = _conjugate(self.p)
-        s = _conjugate(self.q)
-        return lp_norm(self._row_norms(as_shaped(c, self.shape), z), s)
+        rows = lp_norms(np.abs(as_shaped(c, self.shape)), _conjugate(self.p))
+        return lp_norm(rows, _conjugate(self.q))
 
     def lmo(self, c) -> np.ndarray:
         c = as_shaped(c, self.shape)
@@ -368,31 +357,15 @@ class GroupLpqBall(FeasibleSet):
             return self._first_vertex()
         if top < _TINY:  # subnormal rows keep a few bits; rescale c exactly
             c = np.ldexp(c, 1022)
-        z = _conjugate(self.p)
-        row_dual = self._row_norms(c, z)
-        # Row-wise _max_unit_vector; zero rows come out as zero rows.
-        if math.isinf(self.p):
-            inner = np.sign(c)
-        elif self.p == 1.0:
-            rows = np.arange(self.m)
-            cols = np.argmax(np.abs(c), axis=1)
-            inner = np.zeros(self.shape)
-            inner[rows, cols] = np.sign(c[rows, cols])
-        else:
-            a, scale = np.abs(c), np.where(row_dual > 0.0, row_dual, 1.0)
-            low = scale < _TINY  # subnormal row norms keep a few bits
-            if low.any():
-                a[low] = np.ldexp(a[low], 1022)
-                scale[low] = self._row_norms(a[low], z)
-            inner = np.sign(c) * (a / scale[:, None]) ** (z - 1.0)
-        outer = _max_unit_vector(row_dual, self.q)
+        inner, row_dual = _max_unit_vector(c, self.p)
+        outer, _ = _max_unit_vector(row_dual, self.q)
         return -self.r * inner * outer[:, None]
 
     def project(self, x) -> np.ndarray:
         x = as_shaped(x, self.shape)
         if self.p != 2.0:
             raise ValueError("group-ball projection needs inner exponent p = 2")
-        norms = self._row_norms(x, 2.0)
+        norms = lp_norms(np.abs(x), 2.0)
         shrunk = _project_lp_vector(norms, self.q, self.r)
         if shrunk is norms:  # feasible inputs pass through
             return x

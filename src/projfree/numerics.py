@@ -46,26 +46,35 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def lp_norm(x, p: float) -> float:
-    """l_p norm of a vector for p in [1, inf].
+def lp_norms(a: np.ndarray, p: float):
+    """l_p norms over the last axis of a >= 0, for p in [1, inf].
 
-    p = math.inf is the distinguished sup-norm exponent.  Entries are rescaled
-    by max|x_i| before powering so large inputs do not overflow.
+    Each row is divided by its largest entry before powering, so large
+    entries do not overflow; zero rows have norm 0.  A 1-D a gives a scalar,
+    whose root is then a scalar power (numpy's array power rounds differently).
+    """
+    top = np.maximum.reduce(a, axis=-1)
+    if math.isinf(p):
+        return top
+    if p == 1.0:
+        return np.add.reduce(a, axis=-1)
+    b = (a.T / (top + (top == 0.0))).T  # each row over its top, a zero row over 1
+    if p == 2.0:
+        return top * np.sqrt(np.add.reduce(b * b, axis=-1))
+    return top * np.add.reduce(b ** p, axis=-1) ** (1.0 / p)
+
+
+def lp_norm(x, p: float) -> float:
+    """l_p norm of a vector for p in [1, inf]; lp_norms on its entries.
+
+    p = math.inf is the distinguished sup-norm exponent.
     """
     v = np.asarray(x, dtype=np.float64).ravel()
     if not (p >= 1.0):
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     if v.size == 0:
         return 0.0
-    a = np.abs(v)
-    m = float(a.max())
-    if m == 0.0 or math.isinf(p):
-        return m
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return m * float(np.sqrt(np.sum((a / m) ** 2)))
-    return m * float(np.sum((a / m) ** p) ** (1.0 / p))
+    return float(lp_norms(np.abs(v), p))
 
 
 @dataclass

@@ -7,7 +7,6 @@ an independent regularization-path solve, not from any iterative run.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +167,13 @@ def margin_classification_problem(
 def tune_gd_eta(loss, region, smoothness: float, init):
     """Pick the constant GD step from a smoothness-scaled grid by probing.
 
-    Grid spans {0.25, 0.5, 1.0, 1.9} / L; the candidate with the lowest loss
-    after a 50-iteration probe wins.  Diverging candidates are discarded.
+    Grid spans {0.25, 0.5, 1.0, 1.9} / L; each candidate runs a 50-iteration
+    probe (the run rejects non-finite losses), and diverging ones are
+    discarded.  Probe losses within a relative 1e-9 of the lowest tie, and
+    the largest tied step wins, so the last digits of a probe cannot flip
+    the pick.
     """
-    best_eta = None
-    best_val = math.inf
+    probes = {}
     for c in (0.25, 0.5, 1.0, 1.9):
         eta = c / smoothness
         try:
@@ -181,10 +182,8 @@ def tune_gd_eta(loss, region, smoothness: float, init):
             )
         except NumericFailure:
             continue
-        val = trace.loss_f[-1]
-        if val < best_val:
-            best_val = val
-            best_eta = eta
-    if best_eta is None:
+        probes[eta] = trace.loss_f[-1]
+    if not probes:
         raise NumericFailure("every probed GD step size diverged")
-    return best_eta
+    best = min(probes.values())
+    return max(eta for eta, val in probes.items() if val - best <= 1e-9 * abs(best))

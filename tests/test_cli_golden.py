@@ -9,8 +9,8 @@ ball, so a change to how the config is read that moves any run shows up
 here by name.
 
 The hashes were captured with numpy 2.4 on OpenBLAS 0.3 (x86-64), like
-those of `test_golden_traces.py`; print the current table with
-`python tests/test_cli_golden.py`.
+those of `test_golden_traces.py`; print the current table, each run's last
+loss_f and fw_gap beside its hash, with `python tests/test_cli_golden.py`.
 """
 
 import hashlib
@@ -119,7 +119,10 @@ def test_cli_golden_runs(tmp_path):
 
 
 if __name__ == "__main__":
+    # The last loss_f and fw_gap show how far a recaptured run moved.
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in _configs(Path(tmp)).items():
             label, digest = _digest(cfg, Path(tmp))
-            sys.stdout.write(f'    "{name}": ("{label}", "{digest}"),\n')
+            last, _ = run_from_config(cfg)
+            sys.stdout.write(f'    "{name}": ("{label}", "{digest}"),  '
+                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}\n")

@@ -12,10 +12,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall, _max_unit_vector
+from projfree.feasible_sets import (
+    GroupLpqBall,
+    LpBall,
+    SchattenPBall,
+    _conjugate,
+    _max_unit_vector,
+)
 from projfree.numerics import lp_norm
 
 RNG = np.random.default_rng(123)
+EXPONENTS = [1.0, 1.0 + 1e-6, 1.5, 2.0, 3.0, 50.0, math.inf]
+EPS = np.finfo(float).eps
 
 
 def _l15_boundary_2d(samples: int) -> np.ndarray:
@@ -175,7 +183,8 @@ def test_lmo_l2_closed_form_matches_rescaled_path(c, r):
     # overflows or underflows.
     u = c / top
     assert float(np.vdot(v, u)) == pytest.approx(-r * lp_norm(u, 2.0), rel=8 * eps)
-    rescaled = -r * _max_unit_vector(c, 2.0)
+    witness, _ = _max_unit_vector(c, 2.0)
+    rescaled = -r * witness
     assert np.abs(v - rescaled).max() <= 4 * eps * r
 
 
@@ -188,6 +197,64 @@ def test_lmo_subnormal_cost_lands_on_the_boundary(p):
         v = ball.lmo(np.array(c))
         assert ball.norm(v) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_array_equal(np.sign(v), -np.sign(c))
+
+
+# The witness over rows.  Its power (|c| / ||c||_q)^(q-1) multiplies the
+# relative rounding of the ratio by q - 1, so rows are held to 4 eps times
+# that factor where it exceeds 1 (q > 2, i.e. p < 2); at p = 1 + 1e-6 a row
+# with two near-equal entries reads several hundred eps.
+
+
+def _witness_tol(p: float) -> float:
+    q = _conjugate(p)
+    return 4 * EPS * (q - 1.0 if 2.0 < q < math.inf else 1.0)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_witness_rows_are_unit_and_attain_the_dual_norm(p):
+    rng = np.random.default_rng(21)
+    c = rng.standard_normal((10, 7)) * 10.0 ** rng.uniform(-30.0, 30.0, (10, 1))
+    c[3] = 0.0
+    c[7, 2:] = 0.0
+    u, dual = _max_unit_vector(c, p)
+    q, tol = _conjugate(p), _witness_tol(p)
+    assert u.shape == c.shape and dual.shape == (10,)
+    np.testing.assert_array_equal(u[3], 0.0)
+    assert dual[3] == 0.0
+    for i in (0, 1, 2, 4, 5, 6, 7, 8, 9):
+        assert lp_norm(u[i], p) == pytest.approx(1.0, rel=tol, abs=0.0)
+        assert math.fsum(u[i] * c[i]) == pytest.approx(dual[i], rel=tol, abs=0.0)
+        assert dual[i] == pytest.approx(lp_norm(c[i], q), rel=4 * EPS, abs=0.0)
+
+
+def test_witness_rows_l1_ties_go_to_the_lowest_index():
+    c = np.array([[0.0, 3.0, -3.0], [-5.0, 5.0, 5.0], [0.0, 0.0, 0.0],
+                  [1.0, -2.0, 2.0]])
+    u, dual = _max_unit_vector(c, 1.0)
+    expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                         [0.0, -1.0, 0.0]])
+    np.testing.assert_array_equal(u, expected)
+    np.testing.assert_array_equal(dual, [3.0, 5.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_witness_subnormal_row_beside_a_huge_row(p):
+    # Only the subnormal row is rescaled; scaling the 1e300 row too would
+    # overflow, which warns, and the zero row stays zero.
+    c = np.array([[5e-324, -1e-310, 0.0, 3e-320], [1e300, -1e300, 3e299, 0.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, dual = _max_unit_vector(c, p)
+    np.testing.assert_array_equal(u[2], 0.0)
+    assert dual[2] == 0.0
+    q, tol = _conjugate(p), _witness_tol(p)
+    for row, cost, norm in zip(u[:2], c, dual):
+        assert lp_norm(row, p) == pytest.approx(1.0, rel=tol, abs=0.0)
+        assert norm == pytest.approx(lp_norm(cost, q), rel=4 * EPS, abs=0.0)
+        scaled = np.ldexp(cost, 1022) if norm < 1e-300 else cost
+        attained = math.fsum(row * scaled)
+        assert attained == pytest.approx(lp_norm(scaled, q), rel=tol, abs=0.0)
 
 
 def _subnormal_group_costs():

@@ -97,6 +97,7 @@ def _runs():
     mat = _matrix_loss()
     schatten = SchattenPBall(p=1.5, r=3.0, m=12, n=10)
     group = GroupLpqBall(p=2.0, q=1.5, r=3.0, m=12, n=10)
+    group_p15 = GroupLpqBall(p=1.5, q=1.75, r=3.0, m=12, n=10)
     runs = {}
     for name in ("predefined", "quadratic", "exact", "short"):
         rule = _rule(name, loss, ball)
@@ -111,6 +112,10 @@ def _runs():
         record_timings=timed, on_iterate=hook)
     runs["fw-group"] = lambda hook, timed: fw_run(
         mat, group, PredefinedDecay(), ITERS, rng=_rng(4),
+        record_timings=timed, on_iterate=hook)
+    # A general inner exponent: the row witness's power branch.
+    runs["fw-group-p15"] = lambda hook, timed: fw_run(
+        mat, group_p15, PredefinedDecay(), ITERS, rng=_rng(4),
         record_timings=timed, on_iterate=hook)
     for option in ("A", "B", "b"):
         runs[f"pa-{option}"] = lambda hook, timed, option=option: pa_run(
@@ -202,6 +207,7 @@ GOLDEN = {
     "fw-short-tilted": "43b2a73ef3bab317eb77011c1407f6eb792e447e6d1f764d836659fe0162a6f0",
     "fw-schatten": "8ef1fb2dd7c2be3efb8703bbcbd9b65121f67bb36232e4a9de46fa81d1b1b231",
     "fw-group": "3b5771cc400b5689b05c5278a0c35884dee51f0368c5b32c8571d3cd4ca6bd17",
+    "fw-group-p15": "8814be83d6a50683f29130d0670c206dbdfe7bbdc75ef76de67c9f9d555a8049",
     "pa-A": "1b1a2e2ff814c8a220a11a08a3e7d686c0983b161a8c35936d1f09caf9285907",
     "pa-A-tilted": "789a75ad10c319737c42dd87b7e0d0a56a2f1f9a6cb2533b529dc8e2ff92190f",
     "pa-A-schatten": "65a9bff8ef187b0395583df79eebbd3ef960e8714af595b1baf93cf618d4f841",

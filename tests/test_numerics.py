@@ -5,6 +5,9 @@ the defining formulas; the SVD checks test the factorization's defining
 properties, and the lambda_max bound is checked against eigvalsh.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,12 @@ from projfree.numerics import (
     as_vector,
     lambda_max_bound,
     lp_norm,
+    lp_norms,
     svd,
 )
+
+EXPONENTS = [1.0, 1.0 + 1e-6, 1.5, 2.0, 3.0, 50.0, math.inf]
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +75,26 @@ def test_lp_norm_rescales_to_avoid_overflow():
     # Naive sum of cubes would overflow; the max-rescaled form must not.
     x = np.array([1e300, 1e300])
     assert lp_norm(x, 3.0) == pytest.approx(1e300 * 2.0 ** (1.0 / 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_lp_norms_over_rows(p):
+    # Rows from subnormal to 1e300, a zero row and a one-hot row: each row's
+    # norm is lp_norm's up to the rounding of the root (an array power here,
+    # a scalar power there), and no row overflows or warns.
+    rng = np.random.default_rng(5)
+    a = np.abs(rng.standard_normal((8, 9))) * 10.0 ** rng.uniform(-300, 300, (8, 1))
+    a[2] = 0.0
+    a[4, 1:] = 0.0
+    a[6] = np.full(9, 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = lp_norms(a, p)
+    assert norms.shape == (8,)
+    assert norms[2] == 0.0
+    assert norms[4] == a[4, 0]
+    for row, norm in zip(a, norms):
+        assert norm == pytest.approx(lp_norm(row, p), rel=4 * EPS, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

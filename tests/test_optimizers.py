@@ -6,6 +6,7 @@ recorded snapshots and verify the defining recurrences.
 
 import math
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,6 +42,7 @@ from projfree.optimizers import (
     theta_schedule,
 )
 from projfree.perturbation import PerturbedLoss
+from projfree import problems
 from projfree.problems import lsq_boundary_problem
 from projfree.trace import read_trace, write_trace
 
@@ -871,3 +873,20 @@ def test_schatten_run_smoke():
     )
     assert trace.loss_f[-1] < trace.loss_f[0]
     assert region.contains(trace.final_point, tol=1e-8)
+
+
+@pytest.mark.parametrize("first, second", [(5.0, 5.0 + 5e-12), (5.0 + 5e-12, 5.0)])
+def test_tune_gd_eta_ties_go_to_the_largest_step(monkeypatch, first, second):
+    # Probe losses a relative 1e-12 apart at 1/L and 1.9/L tie whichever is
+    # lower; a diverging probe is dropped.
+    losses = {0.25: 9.0, 0.5: 7.0, 1.0: first, 1.9: second}
+
+    def probe(loss, region, eta, iters, init):
+        if eta == 0.5:
+            raise DivergenceError("probe diverged", 3)
+        return types.SimpleNamespace(loss_f=[losses[eta]])
+
+    monkeypatch.setattr(problems, "projected_gd_run", probe)
+    assert problems.tune_gd_eta(None, None, 1.0, None) == 1.9
+    losses[1.9] = 5.0 + 1e-6  # no longer a tie
+    assert problems.tune_gd_eta(None, None, 1.0, None) == 1.0
