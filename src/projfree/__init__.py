@@ -15,7 +15,6 @@ from .diagnostics import (
     loglog_slope,
     nonconvex_gap_constant,
     nonconvex_rate_bound,
-    quasi_convex_budget,
 )
 from .errors import ConfigError, DivergenceError, NumericFailure
 from .feasible_sets import FeasibleSet, GroupLpqBall, LpBall, SchattenPBall
@@ -108,7 +107,6 @@ __all__ = [
     "pa_run",
     "projected_gd_run",
     "projected_sgd_run",
-    "quasi_convex_budget",
     "read_trace",
     "sample_unit_sphere",
     "short_step",

@@ -1,5 +1,5 @@
 """Run diagnostics: Frank-Wolfe gap, log-log slope fits, convergence
-detection, and closed-form iteration/rate bounds."""
+detection, and closed-form rate bounds."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -126,25 +126,6 @@ def detect_convergence(
                 wall_clock_ms=elapsed if timed else None,
             )
     return None
-
-
-def quasi_convex_budget(
-    epsilon: float, kappa: float, smoothness: float, theta: float, f_gap0: float
-) -> float:
-    """Iteration budget max(2*kappa*gap/(theta*eps^2), 8*L*kappa*gap/(theta*eps^3))
-    sufficient to drive a quasi-convex run into an epsilon neighborhood."""
-    for name, val in (
-        ("epsilon", epsilon),
-        ("kappa", kappa),
-        ("smoothness", smoothness),
-        ("theta", theta),
-        ("f_gap0", f_gap0),
-    ):
-        if val <= 0.0:
-            raise ValueError(f"{name} must be > 0, got {val}")
-    first = 2.0 * kappa * f_gap0 / (theta * epsilon**2)
-    second = 8.0 * smoothness * kappa * f_gap0 / (theta * epsilon**3)
-    return max(first, second)
 
 
 def nonconvex_gap_constant(

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NumericFailure
 from .numerics import as_matrix, as_shaped, as_vector, lambda_max_bound
 
 
@@ -25,6 +26,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # is 1 / (1 + e^-z) or e^z / (1 + e^z) as in the textbook split.
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _gram(x) -> np.ndarray:
+    """x^T x; NumericFailure, with no warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.T @ x
+    if not np.isfinite(g).all():
+        raise NumericFailure("X^T X overflows: the features are too large")
+    return g
 
 
 def _memoized_chord(probe):
@@ -169,7 +179,7 @@ class _TabularLoss(Loss):
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
     def smoothness(self) -> float:
-        return self._CURVATURE * lambda_max_bound(self._x.T @ self._x)
+        return self._CURVATURE * lambda_max_bound(_gram(self._x))
 
     def _chord(self, w, v):
         # The margins are affine in gamma, so each probe is one O(n) pass.
@@ -207,19 +217,17 @@ class LogisticLoss(_TabularLoss):
 class QuadraticLoss(_TabularLoss):
     """sum_i (x_i.w - y_i)^2, optionally with an unconstrained intercept.
 
-    With bias=True the intercept is not part of the model vector: it is
-    re-solved in closed form (the residual mean) at every evaluation, so the
-    constraint set still acts on the d coefficients alone.
-
-    The Hessian is 2 X^T X, or 2 X^T P X with the centering projection P
-    when the intercept is profiled out; X^T P X <= X^T X, so L = 2 *
-    lambda_max(X^T X) in both cases.
+    With bias=True the intercept is profiled out once, at construction:
+    min_b ||X w + b - y||^2 = ||X_c w - y_c||^2 with X_c = X - xbar and
+    y_c = y - ybar, so the loss holds the centred X and y (one more n x d
+    copy of X), and the constraint set acts on the d coefficients alone.
+    The Hessian is 2 X^T X of the held X, which smoothness() bounds.
 
     On tall data (_GRAM_RATIO * d <= n) the gradient is 2 (G w - b) with
-    G = X^T P X and b = X^T P y stored once (P = I without the intercept):
-    O(d^2) per call instead of a pass over the n rows.  The value and the
-    chord stay on the residual, which keeps the digits f loses to
-    cancellation in w^T G w - 2 b^T w + y^T y near its minimum.
+    G = X^T X and b = X^T y stored once: O(d^2) per call instead of a pass
+    over the n rows.  The value and the chord stay on the residual, which
+    keeps the digits f loses to cancellation in w^T G w - 2 b^T w + y^T y
+    near its minimum; a batch gradient comes from _terms.
     """
 
     _CURVATURE = 2.0
@@ -231,19 +239,20 @@ class QuadraticLoss(_TabularLoss):
         # The intercept is profiled out, not appended as a feature.
         super().__init__(data, bias=False)
         self.bias = bool(bias)
-        if self.bias:  # the means give a batch its profiled intercept in O(d)
-            self._x_mean = self._x.mean(axis=0)
-            self._y_mean = float(np.mean(self._y))
+        if self.bias:
+            self._x = self._x - self._x.mean(axis=0)
+            self._y = self._y - np.mean(self._y)
         self._gram = None
         if self._GRAM_RATIO * data.d <= data.n:
-            x = self._x - self._x_mean if self.bias else self._x
-            self._gram, self._xty = x.T @ x, x.T @ self._y
+            self._gram, self._xty = _gram(self._x), self._x.T @ self._y
+
+    def _terms(self, m, y):
+        r = m - y
+        return r * r, 2.0 * r
 
     def _residuals(self, w) -> np.ndarray:
-        """x_i.w + b - y_i, b the profiled intercept, for a checked w; in place."""
+        """x_i.w - y_i for a checked w, built in place."""
         r = self._x @ w
-        if self.bias:
-            r += float(np.mean(self._y - r))
         r -= self._y
         return r
 
@@ -254,8 +263,6 @@ class QuadraticLoss(_TabularLoss):
             g = self._gram @ w
             g -= self._xty
         else:
-            # With the intercept at its exact minimizer the partial in b
-            # vanishes, so the chain rule reduces to the residual pullback.
             g = self._x.T @ (self._residuals(w) if r is None else r)
         g *= 2.0
         return g
@@ -273,17 +280,12 @@ class QuadraticLoss(_TabularLoss):
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
         if idx.size == self.n_samples and np.array_equal(idx, np.arange(idx.size)):
-            return self.gradient(w)
-        w = as_shaped(w, self.shape)
-        xs = self._x[idx]
-        r = xs @ w - self._y[idx]
-        if self.bias:
-            r += self._y_mean - float(self._x_mean @ w)
-        return (self.n_samples / idx.size) * 2.0 * (xs.T @ r)
+            return self.gradient(w)  # bit for bit the full gradient
+        return super().stochastic_gradient(w, idx)
 
     def _chord(self, w, v):
-        # The residual, profiled intercept included, is affine in the model,
-        # so on the chord it is r + gamma * dr and phi is a parabola.
+        # The residual is affine in the model, so on the chord it is
+        # r + gamma * dr and phi is a parabola.
         r = self._residuals(as_shaped(w, self.shape))
         dr = self._residuals(as_shaped(v, self.shape)) - r
 

@@ -16,7 +16,8 @@ of what it reused from `at_w`.  Past w_0, one call of the base loss's
 tilted loss's `_tilt` adds the tilt to both.  FW and GD reuse that gradient
 from `at_w`, untilted FW its oracle vertex too.  Other gradients come from
 `loss.gradient`, the Gram form for the quadratic loss, tilted or not.
-A new gradient is checked with `_guard_finite` before its oracle call.
+A new gradient is checked with `_guard_finite` before its oracle call, and
+a projected method's point w - eta g before its projection.
 
 Conventions shared by every run function:
 
@@ -223,9 +224,9 @@ def _timed(enabled: bool, fn, *args):
     return out, (time.perf_counter() - start) * 1e3
 
 
-def _guard_finite(g: np.ndarray, t: int) -> np.ndarray:
+def _guard_finite(g: np.ndarray, t: int, what: str = "gradient") -> np.ndarray:
     if not np.isfinite(g).all():
-        raise DivergenceError(f"non-finite gradient at iteration {t}", t)
+        raise DivergenceError(f"non-finite {what} at iteration {t}", t)
     return g
 
 
@@ -330,7 +331,9 @@ def _projected_update(region, gradient_at, eta_at):
     def update(t, w, at_w, rng, timed):
         g, reused_ms, batch = gradient_at(t, w, at_w, rng)
         eta = eta_at(t)
-        w, proj_ms = _timed(timed, region.project, w - eta * g)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
+            y = _guard_finite(w - eta * g, t, "pre-projection point")
+        w, proj_ms = _timed(timed, region.project, y)
         snap = IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta)
         return snap, g, batch, None, proj_ms, reused_ms
 

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from projfree import cli, suites
 from projfree.cli import main
+from projfree.problems import ridge_path_optimum
 from projfree.suites import CheckResult
 from projfree.trace import CSV_HEADER, Trace, read_trace, write_trace
 
@@ -227,6 +228,65 @@ def test_run_numeric_failure_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 3
     assert "numeric failure" in result.stderr
+
+
+@pytest.mark.parametrize("kind", ["gd", "sgd"])
+def test_run_overflowing_projected_step_exits_3(runner, tmp_path, kind):
+    opt, p = {"gd": ({"eta": 1.7e308}, 2.0),
+              "sgd": ({"eta0": 1.7e308, "batch": 8}, 1.5)}[kind]
+    cfg = _base_config(
+        dataset={"kind": "synthetic-regression", "n": 30, "d": 4, "seed": 1},
+        set={"kind": "lp", "p": p, "r": 1.0},
+        optimizer={"kind": kind, "iters": 5, **opt},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output + str(result.exception)
+    assert "non-finite pre-projection point at iteration 1" in result.stderr
+
+
+@pytest.mark.parametrize("rule", ["predefined", "quadratic", "exact", "short"])
+def test_run_overflowing_gram_exits_3(runner, tmp_path, rule):
+    # X^T X of 1e160-scale features overflows where the quadratic loss
+    # stores it (40 rows, 3 features: the Gram form).
+    x = 1e160 * np.random.default_rng(61).standard_normal((40, 3))
+    y = np.random.default_rng(62).standard_normal(40)
+    csv = tmp_path / "big.csv"
+    csv.write_text("".join(f"{a!r},{b!r},{c!r},{t!r}\n"
+                           for (a, b, c), t in zip(x.tolist(), y.tolist())))
+    cfg = _base_config(
+        dataset={"kind": "csv", "path": str(csv), "target_column": 3},
+        optimizer={"kind": "fw", "step_rule": rule, "iters": 5},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output + str(result.exception)
+    assert "X^T X overflows" in result.stderr
+
+
+def test_run_bias_gd_auto_reaches_the_centred_optimum(runner, tmp_path):
+    # Features with mean 50: the intercept is profiled out by centring, so
+    # eta = auto tunes against the centred L and GD reaches
+    # f* = min ||X_c w - y_c||^2 = 251.2 over the unit l2 ball.  With L
+    # from the uncentred features it stopped at 1615.2.
+    rng = np.random.default_rng(63)
+    x = 50.0 + rng.standard_normal((500, 5))
+    y = x @ rng.standard_normal(5) + 3.0 + 0.1 * rng.standard_normal(500)
+    csv = tmp_path / "offset.csv"
+    csv.write_text("".join(",".join(map(repr, row)) + "\n"
+                           for row in np.column_stack([x, y]).tolist()))
+    f_star, _ = ridge_path_optimum(x - x.mean(axis=0), y - y.mean(), 1.0)
+    out = tmp_path / "gd.csv"
+    cfg = _base_config(
+        dataset={"kind": "csv", "path": str(csv), "target_column": 5},
+        loss={"kind": "quadratic", "bias": True},
+        optimizer={"kind": "gd", "eta": "auto", "iters": 200},
+        output={"trace": str(out)},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert abs(read_trace(out).loss_f[-1] - f_star) <= 1e-8 * f_star
 
 
 @pytest.mark.parametrize("kind", ["gd", "sgd"])

@@ -4,13 +4,14 @@ Each config goes through `cli.run_from_config`; the table pins the run's
 label and the sha256 of the bytes `write_trace` writes.  The configs cover
 every optimizer kind, each FW step rule, `gd` with `eta: auto` and with a
 number, `sgd` with and without `sqrt_decay`, a tilted run, a csv dataset
-with `standardize: true` and a low-rank dataset on a Schatten and on a group
-ball, so a change to how the config is read that moves any run shows up
-here by name.
+with `standardize: true` and raw with a `bias: true` quadratic, and a
+low-rank dataset on a Schatten and on a group ball, so a change to how the
+config is read that moves any run shows up here by name.
 
 The hashes were captured with numpy 2.4 on OpenBLAS 0.3 (x86-64), like
 those of `test_golden_traces.py`; print the current table, each run's last
-loss_f and fw_gap beside its hash, with `python tests/test_cli_golden.py`.
+loss_f and fw_gap beside its hash and MOVED or NEW where the table differs,
+with `python tests/test_cli_golden.py`.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ _L2 = {"kind": "lp", "p": 2.0, "r": 0.8}
 def _cfg(optimizer, dataset=_REGRESSION, loss="quadratic", region=_L15, **extra):
     cfg = {
         "dataset": dict(dataset),
-        "loss": {"kind": loss},
+        "loss": loss if isinstance(loss, dict) else {"kind": loss},
         "set": dict(region),
         "optimizer": {"iters": 15, "seed": 2, **optimizer},
     }
@@ -82,6 +83,13 @@ def _configs(workdir: Path) -> dict:
         "fw-group": _cfg({"kind": "fw", "step_rule": "quadratic"},
                          dataset=_LOWRANK, loss="observed-quadratic",
                          region={"kind": "group", "p": 2.0, "q": 1.5, "r": 3.0}),
+        # The raw csv's features have non-zero means, which the centring
+        # takes out of L = smoothness().
+        "fw-quadratic-bias": _cfg({"kind": "fw", "step_rule": "quadratic",
+                                   "smoothness": "auto"},
+                                  dataset={**csv, "standardize": False},
+                                  loss={"kind": "quadratic", "bias": True},
+                                  region=_L2),
     }
 
 
@@ -107,6 +115,7 @@ GOLDEN = {
     "fw-csv-standardized": ("fw/predefined", "37fea6e0a15e357466b2391be17bb393509fc186724995c7f82f24b47edca2f4"),
     "pa-schatten": ("pa/A", "98d06c1e0b6bbd0f7c5fbb0429dd9ed7ec1b9f37d3e744a69f28dd9362e7ac8b"),
     "fw-group": ("fw/quadratic", "33a014f397465d9c367f75f9e3e761fcb80773948633f9b28a25a2915dd4dbd8"),
+    "fw-quadratic-bias": ("fw/quadratic", "d4da606432678ba0a2f09551730add3e8cf9d7b32a634c2c4a859c7c92cdc9d8"),
 }
 
 
@@ -119,10 +128,13 @@ def test_cli_golden_runs(tmp_path):
 
 
 if __name__ == "__main__":
-    # The last loss_f and fw_gap show how far a recaptured run moved.
+    # The last loss_f and fw_gap show how far a recaptured run moved; MOVED
+    # marks a run that differs from the table, NEW one missing from it.
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in _configs(Path(tmp)).items():
             label, digest = _digest(cfg, Path(tmp))
             last, _ = run_from_config(cfg)
+            mark = ("" if GOLDEN.get(name) == (label, digest)
+                    else " MOVED" if name in GOLDEN else " NEW")
             sys.stdout.write(f'    "{name}": ("{label}", "{digest}"),  '
-                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}\n")
+                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}{mark}\n")

@@ -1,4 +1,4 @@
-"""Diagnostics: oracle gap, log-log fits, convergence detection, budgets.
+"""Diagnostics: oracle gap, log-log fits, convergence detection, rate bounds.
 
 Closed-form expectations were computed by hand from the documented formulas;
 high-precision constants were frozen from an independent 40-digit evaluation.
@@ -14,7 +14,6 @@ from projfree.diagnostics import (
     loglog_slope,
     nonconvex_gap_constant,
     nonconvex_rate_bound,
-    quasi_convex_budget,
 )
 from projfree.feasible_sets import LpBall
 from projfree.trace import Trace
@@ -163,30 +162,7 @@ def test_detector_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
-# closed-form budgets and rate bounds
-
-
-def test_quasi_budget_balanced_point():
-    # 2*1*1/(1*1) = 2 and 8*1*1/(1*1) = 8; the cubic term dominates.
-    assert quasi_convex_budget(1.0, 1.0, 1.0, 1.0, 1.0) == 8.0
-
-
-def test_quasi_budget_small_epsilon():
-    assert quasi_convex_budget(0.5, 1.0, 1.0, 1.0, 1.0) == 64.0
-
-
-def test_quasi_budget_linear_in_initial_gap():
-    one = quasi_convex_budget(0.3, 2.0, 1.5, 0.7, 1.0)
-    two = quasi_convex_budget(0.3, 2.0, 1.5, 0.7, 2.0)
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", range(5))
-def test_quasi_budget_validation(bad):
-    args = [1.0, 1.0, 1.0, 1.0, 1.0]
-    args[bad] = 0.0
-    with pytest.raises(ValueError):
-        quasi_convex_budget(*args)
+# closed-form rate bounds
 
 
 def test_gap_constant_frozen_value():

@@ -10,7 +10,8 @@ up here by name.
 The hashes were captured with numpy 2.4 on OpenBLAS 0.3 (x86-64).  A BLAS
 that rounds differently changes them; print the current table, each run's
 last loss_f and fw_gap beside its hash, with
-`python tests/test_golden_traces.py` and compare it against a known-good
+`python tests/test_golden_traces.py` (MOVED marks a hash that differs from
+the table, NEW a run missing from it) and compare it against a known-good
 commit before replacing it.
 """
 
@@ -153,6 +154,10 @@ def _runs():
     runs["sgd-tilted"] = lambda hook, timed: projected_sgd_run(
         tilted, l2, 2e-3, 6, ITERS, rng=_rng(13), record_timings=timed,
         on_iterate=hook)
+    # The centred quadratic's batch gradient, through _TabularLoss's _terms.
+    runs["sgd-bias"] = lambda hook, timed: projected_sgd_run(
+        biased, l2, 2e-3, 6, ITERS, rng=_rng(18), record_timings=timed,
+        on_iterate=hook)
     # Tabular losses other than the quadratic: the full and the batch
     # per-sample gradient, the exact rule's chord and an appended bias column.
     logistic = _logistic_loss()
@@ -221,12 +226,13 @@ GOLDEN = {
     "spa-default-rng": "82c288a2b37b188a79d3b605da745b5dc7a1ce4ce7d7311d69de374ce2ba73c9",
     "spa-tilted": "fd9ae1ff89876636255bad67ac28926c0bc24d1ef2b5de1c734e1695c4b9bff9",
     "gd": "3f951ebef052aa03ab48591c63091c7c835814b4e0c05c93b764fc018bd9061d",
-    "gd-bias": "92d403ad54188d96d526284622559d11aa789513cf7eb9c9a8df01b6b42a41ac",
+    "gd-bias": "9966c164a3cdfc32005ac5ba5e1945ef01a7996fb6980179ed5a17fa27ae0272",
     "gd-tilted": "c8741188f9f5ade3a1a9c054b93a93d4cc2aa579ed50ddbf5d3d1d84b6d334f5",
     "gd-p3": "e7830a38939987f78f1ba30b5a4aedf9c96b28ca7a6e4322b50ce56ab5d63678",
     "sgd-sqrt": "71d1e7a36be27048f67dc81bf66880b00eebed73969fbeb7793f15d65d806847",
     "sgd-constant": "24c49c791c5257c2fc6fff4b07c23defb659824ad0304af827f5897e87e4ae38",
     "sgd-tilted": "15994255f51078c1e556d1292e7ffdc0711048ae18214757efb51ea1ca5c9c92",
+    "sgd-bias": "31a3672119cf721e2d53d7c92ff8668a7ea0a9e6a3d043963e7b75450c7d5140",
     "pa-B-logistic": "5dfa1b02bac988a6230d4e4b7dfe47c7fd7ccecfe5cd47f3af2678b8682fc6e8",
     "spa-logistic": "3afbd6333103f33f5dcda070f73b07379191dfd6a833a35264c9a03d448bb5d5",
     "fw-exact-biweight": "c4ad87eace2b0a2aa9b67a20e1cf8d9b457d1c22531253e6f11d2c0a90cfec81",
@@ -255,9 +261,13 @@ def test_timing_columns_per_method():
 
 
 if __name__ == "__main__":
-    # The last loss_f and fw_gap show how far a recaptured run moved.
+    # The last loss_f and fw_gap show how far a recaptured run moved; MOVED
+    # marks a hash that differs from the table, NEW a run missing from it.
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in _runs().items():
             last = run(None, False)
-            sys.stdout.write(f'    "{name}": "{_digest(run, Path(tmp))}",  '
-                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}\n")
+            digest = _digest(run, Path(tmp))
+            mark = ("" if GOLDEN.get(name) == digest
+                    else " MOVED" if name in GOLDEN else " NEW")
+            sys.stdout.write(f'    "{name}": "{digest}",  '
+                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}{mark}\n")

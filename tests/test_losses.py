@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from projfree import losses
+from projfree.errors import NumericFailure
 from projfree.feasible_sets import LpBall, SchattenPBall
 from projfree.losses import (
     BiWeightLoss,
@@ -143,6 +144,8 @@ def _values(loss, m, y):
         return np.logaddexp(0.0, -y * m)
     if isinstance(loss, SquaredSigmoidLoss):
         return (y - losses._sigmoid(m)) ** 2 / loss.n_samples
+    if isinstance(loss, QuadraticLoss):
+        return (m - y) ** 2
     r2 = (m - y) ** 2  # bi-weight
     return r2 / (1.0 + r2)
 
@@ -154,6 +157,8 @@ def _dmargin(loss, m, y):
     if isinstance(loss, SquaredSigmoidLoss):
         s = losses._sigmoid(m)
         return -2.0 * (y - s) * s * (1.0 - s) / loss.n_samples
+    if isinstance(loss, QuadraticLoss):
+        return 2.0 * (m - y)
     r = m - y  # bi-weight
     return 2.0 * r / (1.0 + r * r) ** 2
 
@@ -204,9 +209,14 @@ def test_shared_terms_match_values_and_dmargin_bit_for_bit():
     m = np.concatenate([rng.standard_normal(200) * 10.0**rng.integers(-3, 3, 200),
                         [0.0, -0.0, 40.0, -40.0, 800.0, -800.0], far, np.negative(far)])
     for loss in _all_losses():
-        if isinstance(loss, (QuadraticLoss, ObservedQuadraticLoss)):
-            continue  # no per-sample terms: both keep their own paths
+        if isinstance(loss, ObservedQuadraticLoss):
+            continue  # no per-sample terms
         y = rng.choice(loss._y, m.size)
+        if isinstance(loss, QuadraticLoss):  # r^2 overflows on the 12 far margins
+            values, dm = loss._terms(m[:-12], y[:-12])
+            assert values.tobytes() == _values(loss, m[:-12], y[:-12]).tobytes()
+            assert dm.tobytes() == _dmargin(loss, m[:-12], y[:-12]).tobytes()
+            continue
         values, dm = loss._terms(m, y)
         # The bi-weight's formulas overflow past |r| = 1e76; there the test
         # below checks _terms against exact values.
@@ -422,20 +432,98 @@ def test_gram_gradient_matches_residual_pullback(n, bias):
 
 @pytest.mark.parametrize("bias", [False, True])
 def test_batch_gradient_matches_full_residual_rows(bias):
-    # The batch form computes residuals for its own rows only, with the
-    # profiled intercept from the stored means.
+    # The batch form computes residuals for its own rows only; with the
+    # intercept profiled out, those are rows of the centred data.
     data = _toy_tabular(60, 4, 52)
     loss = QuadraticLoss(data, bias=bias)
+    x, y = data.features, data.targets
+    if bias:
+        x, y = x - x.mean(axis=0), y - np.mean(y)
     rng = np.random.default_rng(53)
     for size in (1, 7, 59):
         w = rng.standard_normal(4)
         idx = np.sort(rng.choice(60, size=size, replace=False))
-        r = data.features @ w - data.targets
-        if bias:
-            r -= np.mean(r)
-        want = (60 / size) * 2.0 * (data.features[idx].T @ r[idx])
+        r = x @ w - y
+        want = (60 / size) * 2.0 * (x[idx].T @ r[idx])
         got = loss.stochastic_gradient(w, idx)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _offset_tabular(n, d, seed):
+    """Features with mean 50 and a target with an intercept of 3."""
+    rng = np.random.default_rng(seed)
+    x = 50.0 + rng.standard_normal((n, d))
+    return TabularDataset(x, x @ rng.standard_normal(d) + 3.0 + rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [30, 400])
+def test_quadratic_bias_smoothness_is_the_centred_hessian(n):
+    # d = 5: n = 30 keeps the residual form, 400 takes the Gram form.  The
+    # uncentred X^T X would give an L about 1e4 times too large here.
+    data = _offset_tabular(n, 5, 54)
+    loss = QuadraticLoss(data, bias=True)
+    xc = data.features - data.features.mean(axis=0)
+    exact = 2.0 * float(np.linalg.eigvalsh(xc.T @ xc)[-1])
+    # The gradient is affine, so a unit central difference is exact up to
+    # rounding.
+    w = np.random.default_rng(55).standard_normal(5)
+    cols = [(loss.gradient(w + e) - loss.gradient(w - e)) / 2.0 for e in np.eye(5)]
+    hessian = np.array(cols)
+    top = float(np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[-1])
+    assert top <= loss.smoothness() <= 1.0001 * exact
+
+
+def test_quadratic_bias_batch_gradient_is_a_samples_own_term():
+    # Each batch row pulls back with its centred features, so the batch
+    # gradient scatters about the full one by the data's spread, not by
+    # the feature means (about 40 |grad f| with uncentred rows).
+    data = _offset_tabular(2000, 5, 56)
+    loss = QuadraticLoss(data, bias=True)
+    rng = np.random.default_rng(57)
+    w = 0.3 * rng.standard_normal(5)
+    g = loss.gradient(w)
+    errs = [loss.stochastic_gradient(w, rng.choice(2000, 8, replace=False)) - g
+            for _ in range(400)]
+    rms = np.sqrt(np.mean(np.sum(np.square(errs), axis=1)))
+    assert rms <= 2.0 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("n", [30, 400])
+def test_quadratic_bias_matches_the_profiled_intercept(n):
+    # The value is the one the intercept re-solved from the residual mean
+    # gives.  The gradient's reference is the centred form in long double:
+    # the uncentred pullback X^T r loses digits to the feature means here
+    # (1.3e-12 relative at n = 30).
+    data = _offset_tabular(n, 5, 58)
+    loss = QuadraticLoss(data, bias=True)
+    x, y = data.features.astype(np.longdouble), data.targets.astype(np.longdouble)
+    xc, yc = x - x.mean(axis=0), y - y.mean()
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        w = rng.standard_normal(5)
+        f, g = loss.value_and_gradient(w)
+        r = data.features @ w
+        r += np.mean(data.targets - r)
+        r -= data.targets
+        assert abs(f - float(r @ r)) <= 1e-13 * f
+        rl = xc @ w - yc
+        assert abs(f - float(rl @ rl)) <= 1e-13 * f
+        want = (2 * (xc.T @ rl)).astype(np.float64)
+        assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+        np.testing.assert_array_equal(loss.gradient(w), g)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_overflowing_gram_is_a_numeric_failure(n):
+    # d = 3: n = 40 builds G = X^T X with the quadratic loss, n = 20 forms
+    # it only in smoothness().  Either way no warning escapes (RuntimeWarning
+    # is an error under this suite).
+    x = 1e160 * np.random.default_rng(60).standard_normal((n, 3))
+    data = TabularDataset(x, np.ones(n))
+    with pytest.raises(NumericFailure, match="X\\^T X overflows"):
+        QuadraticLoss(data).smoothness()
+    with pytest.raises(NumericFailure, match="X\\^T X overflows"):
+        LogisticLoss(data).smoothness()
 
 
 def test_losses_are_nonnegative():

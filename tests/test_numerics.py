@@ -228,3 +228,10 @@ def test_lambda_max_bound_is_a_tight_upper_bound(seed):
 def test_lambda_max_bound_rejects_non_square():
     with pytest.raises(ValueError):
         lambda_max_bound(np.ones((2, 3)))
+
+
+def test_lambda_max_bound_rejects_non_finite_input():
+    # Input from outside keeps the boundary's ValueError; the losses report
+    # an overflowing X^T X of their own as NumericFailure before this.
+    with pytest.raises(ValueError, match="non-finite"):
+        lambda_max_bound(np.array([[np.inf, 0.0], [0.0, 1.0]]))

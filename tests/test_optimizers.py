@@ -612,6 +612,21 @@ def test_nonfinite_gradient_at_an_iterate_is_divergence():
     assert err.value.iteration == 1
 
 
+@pytest.mark.parametrize("kind", ["gd", "sgd"])
+def test_overflowing_projected_step_is_divergence(kind):
+    # w - eta g overflows before the projection sees it.  The run stops at
+    # that iteration with no RuntimeWarning (an error under this suite).
+    spec = SyntheticSpec(kind="regression", n=30, d=4, noise=0.1, seed=1)
+    loss = QuadraticLoss(gen_regression(spec)[0])
+    rng = np.random.default_rng(0)
+    with pytest.raises(DivergenceError, match="pre-projection point") as err:
+        if kind == "gd":
+            projected_gd_run(loss, LpBall(2.0, 1.0, 4), 1.7e308, 5, rng=rng)
+        else:
+            projected_sgd_run(loss, LpBall(1.5, 1.0, 4), 1.7e308, 8, 5, rng=rng)
+    assert err.value.iteration == 1
+
+
 def test_final_point_outside_the_set_raises():
     class LeakyBall(LpBall):
         """Projects onto the sphere of radius 1.01 r."""
