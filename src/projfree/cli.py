@@ -360,14 +360,24 @@ def run_from_config(cfg: dict, overrides=None):
     rng = np.random.default_rng(overrides.get("seed", opt["seed"]))
     objective = loss
     if pert["enabled"]:
-        objective = make_perturbed(
-            loss, pert["epsilon"], region.euclidean_diameter(), pert["delta"], rng
-        )
+        diameter = region.euclidean_diameter()
+        try:
+            objective = make_perturbed(loss, pert["epsilon"], diameter,
+                                       pert["delta"], rng)
+        except ValueError as exc:  # theta = epsilon / (4 D) overflows
+            raise ConfigError(
+                f"perturbation.epsilon: too large for the set's diameter "
+                f"{diameter:.3g}: {exc}"
+            ) from exc
 
     def smoothness():
-        if opt["smoothness"] == "auto":
-            return objective.smoothness()
-        return opt["smoothness"]
+        if opt["smoothness"] != "auto":
+            return opt["smoothness"]
+        value = objective.smoothness()
+        if not 0.0 < value < math.inf:  # all-zero features give L = 0
+            raise NumericFailure(f"the loss's smoothness L = {value} is not "
+                                 "a positive finite number")
+        return value
 
     kind = opt["kind"]
     if kind in ("gd", "sgd") and isinstance(region, GroupLpqBall) and region.p != 2.0:

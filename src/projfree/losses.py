@@ -1,10 +1,13 @@
 """Loss functions over tabular and partially observed matrix data.
 
-A loss defines value_and_gradient(w), one margin or residual pass, plus
-stochastic_gradient(w, idx) and smoothness(); evaluate and gradient return
-the parts of value_and_gradient.  Two losses override gradient for runs
-that take no value: the quadratic (its O(d^2) Gram form) and the tilted
-loss, which reaches that Gram form through its base.  A tabular loss writes
+A loss defines _value_and_gradient(w), one margin or residual pass at an
+unchecked w, plus stochastic_gradient(w, idx) and smoothness(); the public
+value_and_gradient checks w with as_shaped and calls it, and evaluate and
+gradient return its parts.  A user loss may define value_and_gradient
+alone.  The run loop and _chord call the primitive on iterates built from
+checked arrays.  Two losses override gradient for runs that take no value:
+the quadratic (its O(d^2) Gram form) and the tilted loss, which reaches
+that Gram form through its base.  A tabular loss writes
 its per-sample value and slope once, in _terms(m, y).  The line search's
 _chord(w, v) makes one pass per distinct step size, with a memo of two
 floats per step size.  The stochastic form returns (N / |idx|) times the
@@ -88,7 +91,8 @@ class ObservedMatrix:
 
 
 class Loss:
-    """Base class; subclasses define value_and_gradient and the rest."""
+    """Base class; subclasses define _value_and_gradient (or
+    value_and_gradient) and the rest."""
 
     #: number of samples N used by the stochastic aggregate
     n_samples: int
@@ -97,7 +101,14 @@ class Loss:
 
     def value_and_gradient(self, w):
         """(loss value as a float, gradient array) at w."""
-        raise NotImplementedError
+        return self._value_and_gradient(as_shaped(w, self.shape))
+
+    def _value_and_gradient(self, w):
+        """value_and_gradient at a float64 w of the loss's shape, unchecked.
+        A loss that defines only value_and_gradient is called through it."""
+        if type(self).value_and_gradient is Loss.value_and_gradient:
+            raise NotImplementedError
+        return self.value_and_gradient(w)
 
     def evaluate(self, w) -> float:
         return self.value_and_gradient(w)[0]
@@ -113,13 +124,14 @@ class Loss:
         raise NotImplementedError
 
     def _chord(self, w, v):
-        """(phi, dphi) on the chord from w to v: phi(gamma) is the loss at
-        w + gamma (v - w) and dphi(gamma) its slope in gamma there.  Both
-        come from one memoized value_and_gradient probe per gamma."""
+        """(phi, dphi) on the chord between checked points w and v:
+        phi(gamma) is the loss at w + gamma (v - w) and dphi(gamma) its slope
+        in gamma there.  Both come from one memoized _value_and_gradient
+        probe per gamma."""
         d = v - w
 
         def probe(gamma):
-            f, g = self.value_and_gradient(w + gamma * d)
+            f, g = self._value_and_gradient(w + gamma * d)
             return f, float(np.vdot(g, d))
 
         return _memoized_chord(probe)
@@ -165,9 +177,9 @@ class _TabularLoss(Loss):
         self.shape = (x.shape[1],)
 
     def _margins(self, w) -> np.ndarray:
-        return self._x @ as_shaped(w, self.shape)
+        return self._x @ w
 
-    def value_and_gradient(self, w):
+    def _value_and_gradient(self, w):
         values, dm = self._terms(self._margins(w), self._y)
         return float(values.sum()), self._x.T @ dm
 
@@ -268,12 +280,11 @@ class QuadraticLoss(_TabularLoss):
         return g
 
     def gradient(self, w) -> np.ndarray:
-        # The Gram form needs no residual, which value_and_gradient builds.
+        # The Gram form needs no residual, which _value_and_gradient builds.
         return self._gradient(as_shaped(w, self.shape))
 
-    def value_and_gradient(self, w):
+    def _value_and_gradient(self, w):
         # No buffer is kept on the loss: threads may share one instance.
-        w = as_shaped(w, self.shape)
         r = self._residuals(w)
         return float(r @ r), self._gradient(w, r)
 
@@ -286,14 +297,19 @@ class QuadraticLoss(_TabularLoss):
     def _chord(self, w, v):
         # The residual is affine in the model, so on the chord it is
         # r + gamma * dr and phi is a parabola.
-        r = self._residuals(as_shaped(w, self.shape))
-        dr = self._residuals(as_shaped(v, self.shape)) - r
+        r = self._residuals(w)
+        dr = self._residuals(v) - r
 
         def probe(gamma):
             rg = r + gamma * dr
             return float(rg @ rg), 2.0 * float(rg @ dr)
 
         return _memoized_chord(probe)
+
+    def smoothness(self) -> float:
+        # On tall data the Gram form's matrix is already held.
+        gram = _gram(self._x) if self._gram is None else self._gram
+        return self._CURVATURE * lambda_max_bound(gram)
 
     def exact_smoothness(self) -> float:
         """Same as smoothness(); perfbench patches and calls this name."""
@@ -360,18 +376,11 @@ class ObservedQuadraticLoss(Loss):
         self._idx = np.flatnonzero(observed.mask)  # row-major order
         self._vals = observed.values.ravel()[self._idx]
 
-    def _diff(self, w) -> np.ndarray:
-        """W_ij - M_ij over the observed entries, in row-major order."""
-        return as_shaped(w, self.shape).ravel()[self._idx] - self._vals
-
-    def _spread(self, diff) -> np.ndarray:
+    def _value_and_gradient(self, w):
+        diff = w.ravel()[self._idx] - self._vals  # row-major observed entries
         g = np.zeros(self.shape)
         g.flat[self._idx] = 2.0 * diff
-        return g
-
-    def value_and_gradient(self, w):
-        diff = self._diff(w)
-        return float(diff @ diff), self._spread(diff)
+        return float(diff @ diff), g
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         w = as_shaped(w, self.shape)

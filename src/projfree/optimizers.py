@@ -12,12 +12,20 @@ keep it) and returns its `IterateSnapshot`, the search direction whose norm
 is recorded, the batch size (None for a full gradient), the time of its
 oracle call or projection (None when not `timed` or not made) and the times
 of what it reused from `at_w`.  Past w_0, one call of the base loss's
-`value_and_gradient` gives the record its value and the gap its gradient; a
+`_value_and_gradient` gives the record its value and the gap its gradient; a
 tilted loss's `_tilt` adds the tilt to both.  FW and GD reuse that gradient
 from `at_w`, untilted FW its oracle vertex too.  Other gradients come from
 `loss.gradient`, the Gram form for the quadratic loss, tilted or not.
-A new gradient is checked with `_guard_finite` before its oracle call, and
-a projected method's point w - eta g before its projection.
+
+Inputs are checked at the boundary: `init`, and every argument of a public
+loss or set method (`numerics.as_shaped` raises ValueError on NaN or inf).
+In the loop each new array is checked once, by the `lmo` or `project` that
+takes it; only when that raises ValueError does `_checked` test the gradient
+(and a projected step's w - eta g) and turn a non-finite one into
+DivergenceError.  A custom set's `lmo` and `project` must reject a
+non-finite argument with ValueError, as the built-in sets do.  The record
+and the exact rule call the unchecked `_value_and_gradient`, on iterates
+that are convex combinations or projections of checked arrays.
 
 Conventions shared by every run function:
 
@@ -224,19 +232,29 @@ def _timed(enabled: bool, fn, *args):
     return out, (time.perf_counter() - start) * 1e3
 
 
-def _guard_finite(g: np.ndarray, t: int, what: str = "gradient") -> np.ndarray:
-    if not np.isfinite(g).all():
+def _guard_finite(a: np.ndarray, t: int, what: str) -> None:
+    if not np.isfinite(a).all():
         raise DivergenceError(f"non-finite {what} at iteration {t}", t)
-    return g
 
 
-def _loss_gradient(loss, w, at_w, t):
-    """(checked gradient of `loss` at w, times of what it reused from at_w)."""
+def _checked(timed, fn, t, *named):
+    """_timed(timed, fn, x) for the last (x, what) pair of `named`, fn an
+    oracle or a projection that rejects a non-finite x with ValueError.
+    Only then are the arrays of `named` checked, in order: the first that is
+    not finite raises DivergenceError instead."""
+    try:
+        return _timed(timed, fn, named[-1][0])
+    except ValueError:
+        for a, what in named:
+            _guard_finite(a, t, what)
+        raise
+
+
+def _loss_gradient(loss, w, at_w):
+    """(gradient of `loss` at w, times of what it reused from at_w)."""
     if at_w is None:
-        return _guard_finite(loss.gradient(w), t), ()
-    g, v, g_ms, _ = at_w
-    # The driver has checked a gradient it hands on with its vertex.
-    return (g if v is not None else _guard_finite(g, t)), (g_ms,)
+        return loss.gradient(w), ()
+    return at_w[0], (at_w[2],)
 
 
 def default_init(region, rng: np.random.Generator) -> np.ndarray:
@@ -276,7 +294,7 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
             record_timings, update, t, w, at_w, rng, record_timings
         )
         w = snap.w
-        (f_val, g), g_ms = _timed(record_timings, base.value_and_gradient, w)
+        (f_val, g), g_ms = _timed(record_timings, base._value_and_gradient, w)
         if not math.isfinite(f_val):
             raise NumericFailure(f"non-finite loss at iteration {t}")
         h_val, g_loss = (None, g) if loss is base else loss._tilt(w, f_val, g)
@@ -284,7 +302,7 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         direction_norm = math.sqrt(float(np.vdot(direction, direction)))
         if not math.isfinite(direction_norm):
             raise DivergenceError(f"non-finite direction norm at iteration {t}", t)
-        v, v_ms = _timed(record_timings, region.lmo, _guard_finite(g, t))
+        v, v_ms = _checked(record_timings, region.lmo, t, (g, "gradient"))
         at_w = (g_loss, v if loss is base else None, g_ms, v_ms)
         trace.append(
             t, f_val, h_val, float(np.vdot(w - v, g)), snap.gamma, batch,
@@ -314,7 +332,7 @@ def _averaging_update(region, gradient_at):
         gamma = step_size_predefined(t)
         z = (1.0 - gamma) * w + gamma * (w if v_prev is None else v_prev)
         p, batch = gradient_at(t, z, rng)
-        v, oracle_ms = _timed(timed, region.lmo, _guard_finite(p, t))
+        v, oracle_ms = _checked(timed, region.lmo, t, (p, "gradient"))
         w = (1.0 - gamma) * w + gamma * v
         v_prev = v
         snap = IterateSnapshot(t=t, w=w, v=v, z=z, p=p, gamma=gamma)
@@ -325,15 +343,17 @@ def _averaging_update(region, gradient_at):
 
 def _projected_update(region, gradient_at, eta_at):
     """Projected-gradient update; gradient_at(t, w, at_w, rng) supplies the
-    checked gradient, the times it reused from at_w and the batch size,
-    eta_at(t) the step size."""
+    gradient, the times it reused from at_w and the batch size, eta_at(t)
+    the step size."""
 
     def update(t, w, at_w, rng, timed):
         g, reused_ms, batch = gradient_at(t, w, at_w, rng)
         eta = eta_at(t)
-        with np.errstate(over="ignore", invalid="ignore"):  # the guard reports it
-            y = _guard_finite(w - eta * g, t, "pre-projection point")
-        w, proj_ms = _timed(timed, region.project, y)
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked reports it
+            y = w - eta * g
+        w, proj_ms = _checked(
+            timed, region.project, t, (g, "gradient"), (y, "pre-projection point")
+        )
         snap = IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta)
         return snap, g, batch, None, proj_ms, reused_ms
 
@@ -364,8 +384,8 @@ def fw_run(
 
     def update(t, w, at_w, rng, timed):
         if at_w is None or at_w[1] is None:
-            g, reused_ms = _loss_gradient(loss, w, at_w, t)
-            v, oracle_ms = _timed(timed, region.lmo, g)
+            g, reused_ms = _loss_gradient(loss, w, at_w)
+            v, oracle_ms = _checked(timed, region.lmo, t, (g, "gradient"))
         else:  # untilted: the driver's gradient and vertex at w
             g, v, g_ms, oracle_ms = at_w
             reused_ms = (g_ms, oracle_ms)
@@ -465,7 +485,7 @@ def projected_gd_run(
     if eta <= 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
     update = _projected_update(
-        region, lambda t, w, at_w, rng: (*_loss_gradient(loss, w, at_w, t), None),
+        region, lambda t, w, at_w, rng: (*_loss_gradient(loss, w, at_w), None),
         lambda t: eta,
     )
     return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
@@ -496,7 +516,7 @@ def projected_sgd_run(
 
     def gradient_at(t, w, at_w, rng):
         idx = rng.choice(n, size=size, replace=False)
-        return _guard_finite(loss.stochastic_gradient(w, idx), t), (), size
+        return loss.stochastic_gradient(w, idx), (), size
 
     update = _projected_update(
         region, gradient_at, lambda t: eta0 / math.sqrt(t) if sqrt_decay else eta0

@@ -58,8 +58,8 @@ class PerturbedLoss(Loss):
         """(h(w), grad h(w)) from the base loss's value f and gradient g at w."""
         return f + self.theta * float(np.vdot(self.xi, w)), g + self.theta * self.xi
 
-    def value_and_gradient(self, w):
-        return self._tilt(w, *self.base.value_and_gradient(w))
+    def _value_and_gradient(self, w):
+        return self._tilt(w, *self.base._value_and_gradient(w))
 
     def gradient(self, w) -> np.ndarray:
         # The base's gradient(), the Gram form for the quadratic loss.

@@ -325,6 +325,36 @@ def test_run_overflowing_tilt_exits_3(runner, tmp_path):
     assert "non-finite direction norm" in result.stderr
 
 
+@pytest.mark.parametrize("optimizer", [
+    {"kind": "gd", "eta": "auto"},
+    {"kind": "fw", "step_rule": "quadratic"},
+])
+def test_run_zero_smoothness_exits_3(runner, tmp_path, optimizer):
+    # One standardized sample leaves all-zero features, so L = 0; eta = auto
+    # and the quadratic rule both divide by it.
+    cfg = _base_config(
+        dataset={"kind": "synthetic-regression", "n": 1, "d": 3,
+                 "standardize": True},
+        optimizer={**optimizer, "iters": 5},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output + str(result.exception)
+    assert "smoothness L = 0.0" in result.stderr
+
+
+def test_run_infinite_tilt_exits_2(runner, tmp_path):
+    # theta = epsilon / (4 D) = 1e300 / 8e-300 overflows to inf.
+    cfg = _base_config(
+        set={"kind": "lp", "p": 2.0, "r": 1e-300},
+        perturbation={"enabled": True, "epsilon": 1e300},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2, result.output + str(result.exception)
+    assert "perturbation.epsilon" in result.output
+
+
 def test_run_logistic_on_non_binary_labels_exits_2(runner, tmp_path):
     csv = tmp_path / "labels.csv"
     csv.write_text("".join(f"{0.1 * i:.1f},{1 + i % 2}\n" for i in range(20)))

@@ -135,6 +135,17 @@ def test_lmo_shape_mismatch():
         LpBall(p=2.0, r=1.0, d=3).lmo(np.ones(4))
     with pytest.raises(ValueError):
         SchattenPBall(p=2.0, r=1.0, m=2, n=2).lmo(np.ones((3, 2)))
+    # Every entry point of every family rejects a non-finite argument: the
+    # run loop leaves that check to its oracle and projection calls.
+    for region in (LpBall(p=1.5, r=1.0, d=3), SchattenPBall(p=1.5, r=1.0, m=3, n=2),
+                   GroupLpqBall(p=2.0, q=1.5, r=1.0, m=3, n=2)):
+        for call in (region.lmo, region.project, region.norm, region.dual_norm,
+                     region.contains):
+            for bad in (np.nan, np.inf, -np.inf):
+                x = np.ones(region.shape)
+                x.flat[-1] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    call(x)
 
 
 # Entries whose squares overflow, underflow or go subnormal, next to

@@ -25,6 +25,7 @@ from projfree.losses import (
     SquaredSigmoidLoss,
     TabularDataset,
 )
+from projfree.numerics import lambda_max_bound
 from projfree.optimizers import ExactLineSearch, fw_run, pa_run
 from projfree.perturbation import PerturbedLoss, make_perturbed
 
@@ -778,6 +779,20 @@ def test_squared_sigmoid_curvature_constants():
     )
     loss = SquaredSigmoidLoss(TabularDataset(x, [-0.5, 1.25, 0, 1]))
     assert loss.smoothness() == pytest.approx(0.1541 + 0.5 * 0.19246, rel=1e-7)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("n", [39, 400])
+def test_quadratic_smoothness_forms_the_gram_matrix_once(monkeypatch, n, bias):
+    # d = 5: n = 39 forms X^T X for smoothness() alone; at n = 400 the Gram
+    # form holds it from construction and smoothness() reuses it.
+    calls = []
+    gram = losses._gram
+    monkeypatch.setattr(losses, "_gram", lambda x: calls.append(x) or gram(x))
+    loss = QuadraticLoss(_toy_tabular(n, 5, 56), bias=bias)
+    value = loss.smoothness()
+    assert len(calls) == 1
+    assert value == 2.0 * lambda_max_bound(gram(loss._x))
 
 
 def test_smoothness_delegates_keep_their_names():

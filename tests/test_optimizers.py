@@ -678,7 +678,7 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     base, region, _ = _interior_problem()
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
     counts = {}
-    _count_calls(monkeypatch, base, ["evaluate", "gradient", "value_and_gradient"],
+    _count_calls(monkeypatch, base, ["evaluate", "gradient", "_value_and_gradient"],
                  counts)
     _count_calls(monkeypatch, region, ["lmo", "contains"], counts)
     iters, init, rng = 12, np.zeros(3), np.random.default_rng(3)
@@ -694,8 +694,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     # Full gradient and lmo calls: the gap makes one of each per iteration,
     # and FW and GD reuse its gradient (untilted FW its vertex too).  SPA
     # takes a full gradient for each step whose batch is every sample.  The
-    # record's gradient comes with the base loss's value from one
-    # value_and_gradient call, also under a tilt.
+    # record's gradient comes with the base loss's value from one call of
+    # the unchecked _value_and_gradient, also under a tilt.
     full_batches = sum(spa_batch_size(t, base.n_samples) == base.n_samples
                        for t in range(1, iters + 1))
     expected = {
@@ -707,8 +707,58 @@ def test_call_counts_per_iteration(monkeypatch, kind):
     }
     runs[kind]()
     gradient, lmo = expected[kind]
-    assert counts == {"evaluate": 0, "value_and_gradient": iters,
+    assert counts == {"evaluate": 0, "_value_and_gradient": iters,
                       "gradient": gradient - iters, "lmo": lmo, "contains": 2}
+
+
+@pytest.mark.parametrize("kind", ["fw", "fw-tilted", "gd", "pa", "spa", "sgd"])
+def test_finiteness_checks_per_iteration(monkeypatch, kind):
+    from projfree import feasible_sets, losses, optimizers
+
+    base, region, _ = _interior_problem()
+    tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
+    checks = [0]
+    for module, name in ((losses, "as_shaped"), (feasible_sets, "as_shaped"),
+                         (optimizers, "_guard_finite")):
+        def counted(*args, _fn=getattr(module, name)):
+            checks[0] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    iters, init, rng = 12, np.zeros(3), np.random.default_rng(3)
+    runs = {
+        "fw": lambda: fw_run(base, region, PredefinedDecay(), iters, init=init),
+        "fw-tilted": lambda: fw_run(tilted, region, PredefinedDecay(), iters,
+                                    init=init),
+        "gd": lambda: projected_gd_run(base, region, 0.01, iters, init=init),
+        "pa": lambda: pa_run(base, region, "A", iters, init=init),
+        "spa": lambda: spa_run(base, region, iters, init=init, rng=rng),
+        "sgd": lambda: projected_sgd_run(base, region, 0.01, 5, iters, init=init,
+                                         rng=rng),
+    }
+    # Per iteration: the record's oracle, plus the step's oracle or
+    # projection (FW reuses the record's vertex unless tilted) and the
+    # gradient of an averaging or stochastic step; the record's loss call
+    # checks nothing.  At the boundary: init and the final point, and the
+    # first FW or GD step's own gradient (and FW's oracle call) at w_0.
+    expected = {"fw": (1, 2), "fw-tilted": (2, 1), "gd": (2, 1),
+                "pa": (3, 0), "spa": (3, 0), "sgd": (3, 0)}
+    runs[kind]()
+    per_iteration, first_step = expected[kind]
+    assert checks[0] == per_iteration * iters + 2 + first_step
+
+
+def test_nonfinite_iterate_stops_on_the_nonfinite_loss():
+    class BrokenBall(LpBall):
+        """An oracle that answers NaN: the iterate is not finite."""
+
+        def lmo(self, c):
+            return np.full(self.shape, np.nan)
+
+    loss, _, _ = _interior_problem()
+    with pytest.raises(NumericFailure, match="non-finite loss at iteration 1"):
+        fw_run(loss, BrokenBall(p=2.0, r=1.0, d=3), PredefinedDecay(), 5,
+               init=np.zeros(3))
 
 
 def test_pa_on_schatten_ball_makes_two_svds_per_iteration(monkeypatch):
@@ -747,8 +797,8 @@ def test_step_ms_includes_the_reused_gradient_and_oracle_call(monkeypatch):
         return lmo(c)
 
     # The step from w_0 takes a gradient; later steps reuse the run loop's
-    # value_and_gradient call.
-    for name in ("gradient", "value_and_gradient"):
+    # _value_and_gradient call.
+    for name in ("gradient", "_value_and_gradient"):
         monkeypatch.setattr(base, name, slowed(getattr(base, name)))
     monkeypatch.setattr(region, "lmo", slow_lmo)
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
