@@ -1,12 +1,17 @@
 """Norm-ball constraint sets: l_p, Schatten-p, and group l_{p,q} balls.
 
-Each set exposes a closed-form linear minimization oracle (lmo), a Euclidean
-projection (closed form at p = 1, 2, inf, else Newton on the KKT multiplier),
-its strong-convexity parameter, diameters and membership tests.  Oracles are
-deterministic on ties and zeros.  Arguments go through numerics.as_shaped.
-The oracles are built on one dual-norm witness, _max_unit_vector, taken on a
-vector, on singular values or on rows, and group row norms are
-numerics.lp_norms.
+Each norm nests l_p norms over levels, (exponent, dimension) pairs listed
+innermost first: (p, d) for an l_p ball, (p, min(m, n)) on the singular
+values of a Schatten ball, (p, n) within rows then (q, m) across them for a
+group ball.  From the levels the base _NormBall derives the argument checks,
+repr, norm and dual norm, Euclidean diameter and strong-convexity modulus.
+A family states how to evaluate its nested norm, its closed-form linear
+minimization oracle (lmo) and its Euclidean projection (closed form at
+p = 1, 2, inf, else Newton on the KKT multiplier).  Oracles are
+deterministic on ties and zeros.  Each argument gets one NaN/inf check, by
+numerics.as_shaped or, on a Schatten ball, by numerics.svd.  The oracles
+are built on one dual-norm witness, _max_unit_vector, taken on a vector, on
+singular values or on rows, and group row norms are numerics.lp_norms.
 """
 
 import math
@@ -57,13 +62,6 @@ def _max_unit_vector(c: np.ndarray, p: float) -> tuple:
         a = np.ldexp(a.T, 1022 * low).T
         scale = np.where(low, lp_norms(a, q), scale)
     return np.sign(c) * (a.T / scale).T ** (q - 1.0), dual
-
-
-def _lp_strong_convexity(p: float, r: float) -> float:
-    """Strong-convexity modulus of an l_p (or Schatten-p) ball of radius r."""
-    if not (1.0 < p <= 2.0):
-        raise ValueError(f"strong convexity is only defined for p in (1, 2], got p={p}")
-    return (p - 1.0) / r
 
 
 def _project_simplex(a: np.ndarray, r: float) -> np.ndarray:
@@ -214,29 +212,66 @@ class FeasibleSet:
         return self.random_boundary(rng) * t
 
 
-class LpBall(FeasibleSet):
+class _NormBall(FeasibleSet):
+    """{x : ||x|| <= r} for a norm that nests l_p norms over levels.
+
+    A family passes its exponents, r and its dimensions under the names its
+    constructor gives them, sets `_levels` and defines `_nested_norm(x,
+    exponents)`, its norm with the levels' exponents replaced."""
+
+    def __init__(self, exponents: dict, r: float, dims: dict):
+        name = type(self).__name__
+        for key, p in exponents.items():
+            if not (p >= 1.0):
+                raise ValueError(f"{name} requires {key} >= 1, got {p}")
+            setattr(self, key, float(p))
+        if r <= 0.0:
+            raise ValueError(f"{name} requires r > 0, got {r}")
+        self.r = float(r)
+        for key, k in dims.items():
+            if k < 1:
+                raise ValueError(f"{name} requires {key} >= 1, got {k}")
+            setattr(self, key, int(k))
+        self._arg_names = (*exponents, "r", *dims)
+        self.shape = tuple(getattr(self, key) for key in dims)
+
+    def __repr__(self):
+        args = ", ".join(f"{key}={getattr(self, key)}" for key in self._arg_names)
+        return f"{type(self).__name__}({args})"
+
+    def norm(self, x) -> float:
+        return self._nested_norm(x, [p for p, _ in self._levels])
+
+    def dual_norm(self, c) -> float:
+        return self._nested_norm(c, [_conjugate(p) for p, _ in self._levels])
+
+    def euclidean_diameter(self) -> float:
+        """2r times k^max(0, 1/2 - 1/p) per level, the largest l_2 norm of a
+        unit l_p vector of length k, multiplied innermost first."""
+        diameter = 2.0 * self.r
+        for p, k in self._levels:
+            diameter *= k ** max(0.0, 0.5 - 1.0 / p)
+        return diameter
+
+    def strong_convexity(self) -> float:
+        """min (p - 1) / r over the levels, for every p in (1, 2]: the
+        moduli Garber & Hazan (ICML 2015) give l_p, Schatten-p and group
+        balls, checked against their definition by sampling in the tests."""
+        exponents = [p for p, _ in self._levels]
+        if not all(1.0 < p <= 2.0 for p in exponents):
+            raise ValueError(f"{self!r}: strong convexity needs exponents in (1, 2]")
+        return min(p - 1.0 for p in exponents) / self.r
+
+
+class LpBall(_NormBall):
     """{w in R^d : ||w||_p <= r} for p in [1, inf]."""
 
     def __init__(self, p: float, r: float, d: int):
-        if not (p >= 1.0):
-            raise ValueError(f"LpBall requires p >= 1, got {p}")
-        if r <= 0.0:
-            raise ValueError(f"LpBall requires r > 0, got {r}")
-        if d < 1:
-            raise ValueError(f"LpBall requires d >= 1, got {d}")
-        self.p = float(p)
-        self.r = float(r)
-        self.d = int(d)
-        self.shape = (self.d,)
+        super().__init__({"p": p}, r, {"d": d})
+        self._levels = ((self.p, self.d),)
 
-    def __repr__(self):
-        return f"LpBall(p={self.p}, r={self.r}, d={self.d})"
-
-    def norm(self, x) -> float:
-        return lp_norm(as_shaped(x, self.shape), self.p)
-
-    def dual_norm(self, c) -> float:
-        return lp_norm(as_shaped(c, self.shape), _conjugate(self.p))
+    def _nested_norm(self, x, exponents) -> float:
+        return lp_norm(as_shaped(x, self.shape), exponents[0])
 
     def lmo(self, c) -> np.ndarray:
         c = as_shaped(c, self.shape)
@@ -254,42 +289,27 @@ class LpBall(FeasibleSet):
     def project(self, x) -> np.ndarray:
         return _project_lp_vector(as_shaped(x, self.shape), self.p, self.r)
 
-    def strong_convexity(self) -> float:
-        return _lp_strong_convexity(self.p, self.r)
 
-    def euclidean_diameter(self) -> float:
-        expo = max(0.0, 0.5 - 1.0 / self.p)
-        return 2.0 * self.r * self.d ** expo
-
-
-class SchattenPBall(FeasibleSet):
+class SchattenPBall(_NormBall):
     """{W in R^(m x n) : ||sigma(W)||_p <= r}: the l_p ball on singular values."""
 
     def __init__(self, p: float, r: float, m: int, n: int):
-        if not (p >= 1.0):
-            raise ValueError(f"SchattenPBall requires p >= 1, got {p}")
-        if r <= 0.0:
-            raise ValueError(f"SchattenPBall requires r > 0, got {r}")
-        if m < 1 or n < 1:
-            raise ValueError(f"SchattenPBall requires m, n >= 1, got ({m}, {n})")
-        self.p = float(p)
-        self.r = float(r)
-        self.m = int(m)
-        self.n = int(n)
-        self.shape = (self.m, self.n)
+        super().__init__({"p": p}, r, {"m": m, "n": n})
+        self._levels = ((self.p, min(self.m, self.n)),)
 
-    def __repr__(self):
-        return f"SchattenPBall(p={self.p}, r={self.r}, m={self.m}, n={self.n})"
+    def _svd(self, x) -> tuple:
+        """x as a float64 array of the set's shape, and its SVD.  Only svd
+        checks x for NaN and inf, so each call makes one pass over it."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.shape:
+            raise ValueError(f"expected shape {self.shape}, got {x.shape}")
+        return x, svd(x)
 
-    def norm(self, x) -> float:
-        return lp_norm(svd(as_shaped(x, self.shape)).s, self.p)
-
-    def dual_norm(self, c) -> float:
-        return lp_norm(svd(as_shaped(c, self.shape)).s, _conjugate(self.p))
+    def _nested_norm(self, x, exponents) -> float:
+        return lp_norm(self._svd(x)[1].s, exponents[0])
 
     def lmo(self, c) -> np.ndarray:
-        c = as_shaped(c, self.shape)
-        dec = svd(c)
+        c, dec = self._svd(c)
         if 0.0 < dec.s[0] < _TINY:  # a subnormal spectrum keeps a few bits
             dec = svd(np.ldexp(c, 1022))
         if not dec.s.any():  # zero input or numerically zero spectrum
@@ -298,23 +318,14 @@ class SchattenPBall(FeasibleSet):
         return -self.r * (dec.u * w) @ dec.v.T
 
     def project(self, x) -> np.ndarray:
-        x = as_shaped(x, self.shape)
-        dec = svd(x)
+        x, dec = self._svd(x)
         s = _project_lp_vector(dec.s, self.p, self.r)
         if s is dec.s:  # feasible inputs pass through
             return x
         return (dec.u * s) @ dec.v.T
 
-    def strong_convexity(self) -> float:
-        return _lp_strong_convexity(self.p, self.r)
 
-    def euclidean_diameter(self) -> float:
-        k = min(self.m, self.n)
-        expo = max(0.0, 0.5 - 1.0 / self.p)
-        return 2.0 * self.r * k ** expo
-
-
-class GroupLpqBall(FeasibleSet):
+class GroupLpqBall(_NormBall):
     """Mixed-norm ball on R^(m x n) with rows as groups.
 
     The ball norm takes l_p within each row, then l_q across the row norms:
@@ -324,31 +335,12 @@ class GroupLpqBall(FeasibleSet):
     """
 
     def __init__(self, p: float, q: float, r: float, m: int, n: int):
-        if not (p >= 1.0) or not (q >= 1.0):
-            raise ValueError(f"GroupLpqBall requires p, q >= 1, got ({p}, {q})")
-        if r <= 0.0:
-            raise ValueError(f"GroupLpqBall requires r > 0, got {r}")
-        if m < 1 or n < 1:
-            raise ValueError(f"GroupLpqBall requires m, n >= 1, got ({m}, {n})")
-        self.p = float(p)
-        self.q = float(q)
-        self.r = float(r)
-        self.m = int(m)
-        self.n = int(n)
-        self.shape = (self.m, self.n)
+        super().__init__({"p": p, "q": q}, r, {"m": m, "n": n})
+        self._levels = ((self.p, self.n), (self.q, self.m))
 
-    def __repr__(self):
-        return (
-            f"GroupLpqBall(p={self.p}, q={self.q}, r={self.r}, "
-            f"m={self.m}, n={self.n})"
-        )
-
-    def norm(self, x) -> float:
-        return lp_norm(lp_norms(np.abs(as_shaped(x, self.shape)), self.p), self.q)
-
-    def dual_norm(self, c) -> float:
-        rows = lp_norms(np.abs(as_shaped(c, self.shape)), _conjugate(self.p))
-        return lp_norm(rows, _conjugate(self.q))
+    def _nested_norm(self, x, exponents) -> float:
+        inner, outer = exponents
+        return lp_norm(lp_norms(np.abs(as_shaped(x, self.shape)), inner), outer)
 
     def lmo(self, c) -> np.ndarray:
         c = as_shaped(c, self.shape)
@@ -371,16 +363,3 @@ class GroupLpqBall(FeasibleSet):
             return x
         scale = np.where(norms > 0.0, shrunk / np.where(norms > 0.0, norms, 1.0), 0.0)
         return x * scale[:, None]
-
-    def strong_convexity(self) -> float:
-        if not (1.0 < self.p <= 2.0) or not (1.0 < self.q <= 2.0):
-            raise ValueError(
-                "strong convexity is only defined for p, q in (1, 2], "
-                f"got p={self.p}, q={self.q}"
-            )
-        return min(self.p - 1.0, self.q - 1.0) / self.r
-
-    def euclidean_diameter(self) -> float:
-        inner = self.n ** max(0.0, 0.5 - 1.0 / self.p)
-        outer = self.m ** max(0.0, 0.5 - 1.0 / self.q)
-        return 2.0 * self.r * inner * outer

@@ -25,7 +25,9 @@ takes it; only when that raises ValueError does `_checked` test the gradient
 DivergenceError.  A custom set's `lmo` and `project` must reject a
 non-finite argument with ValueError, as the built-in sets do.  The record
 and the exact rule call the unchecked `_value_and_gradient`, on iterates
-that are convex combinations or projections of checked arrays.
+that are convex combinations or projections of checked arrays; if a custom
+set answers with NaN or inf, the recorded gap is not finite and the run
+raises DivergenceError at that iteration.
 
 Conventions shared by every run function:
 
@@ -265,9 +267,9 @@ def default_init(region, rng: np.random.Generator) -> np.ndarray:
 
 
 def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
-    """Run `update` for t = 1..iters.  A non-finite loss, direction norm or
-    gradient raises before its record is appended; the divergence guard
-    fires after the append and before the observer."""
+    """Run `update` for t = 1..iters.  A non-finite loss, direction norm,
+    gradient or gap raises before its record is appended; the divergence
+    guard fires after the append and before the observer."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if rng is None:
@@ -304,9 +306,11 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
             raise DivergenceError(f"non-finite direction norm at iteration {t}", t)
         v, v_ms = _checked(record_timings, region.lmo, t, (g, "gradient"))
         at_w = (g_loss, v if loss is base else None, g_ms, v_ms)
+        gap = float(np.vdot(w - v, g))
+        if not math.isfinite(gap):  # a non-finite iterate or vertex
+            raise DivergenceError(f"non-finite gap at iteration {t}", t)
         trace.append(
-            t, f_val, h_val, float(np.vdot(w - v, g)), snap.gamma, batch,
-            direction_norm,
+            t, f_val, h_val, gap, snap.gamma, batch, direction_norm,
             step_ms=None if step_ms is None else step_ms + sum(reused_ms),
             oracle_ms=oracle_ms, proj_ms=proj_ms,
         )

@@ -620,6 +620,46 @@ def test_strong_convexity_rejects_flat_exponents():
             region.strong_convexity()
 
 
+_STRONGLY_CONVEX_SETS = [
+    LpBall(p=1.5, r=1.7, d=5),
+    LpBall(p=1.2, r=1.7, d=5),
+    SchattenPBall(p=1.5, r=1.7, m=3, n=3),
+    SchattenPBall(p=1.2, r=1.7, m=3, n=3),
+    GroupLpqBall(p=1.5, q=1.5, r=1.7, m=3, n=3),
+    GroupLpqBall(p=2.0, q=1.5, r=1.7, m=3, n=3),
+    GroupLpqBall(p=1.5, q=2.0, r=1.7, m=3, n=3),
+    GroupLpqBall(p=1.2, q=1.2, r=1.7, m=3, n=3),
+    GroupLpqBall(p=2.0, q=2.0, r=1.7, m=3, n=3),
+]
+
+
+@pytest.mark.parametrize("region", _STRONGLY_CONVEX_SETS, ids=repr)
+def test_strong_convexity_meets_its_definition(region):
+    """A set is alpha-strongly convex in its norm when, for x, y in it and
+    gamma in [0, 1], the ball of radius gamma (1 - gamma) (alpha / 2)
+    ||x - y||^2 around gamma x + (1 - gamma) y lies in it (Garber & Hazan,
+    Faster rates for the Frank-Wolfe method over strongly-convex sets, ICML
+    2015, who prove the moduli for l_p, Schatten-p and group balls).  For a
+    norm ball that reads r - ||gamma x + (1 - gamma) y|| >= gamma (1 -
+    gamma) (alpha / 2) ||x - y||^2.  Boundary pairs are sampled at distances
+    from 1e-3 r to the diameter, near-antipodal ones included."""
+    rng = np.random.default_rng(2015)
+    r, alpha = region.r, region.strong_convexity()
+    for _ in range(2000):
+        x = region.random_boundary(rng)
+        z = rng.standard_normal(region.shape)
+        if rng.uniform() < 0.25:  # near -x
+            y = -x + 0.1 * r * rng.uniform() * z / region.norm(z)
+        else:
+            step = r * 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+            y = x + step * z / region.norm(z)
+        y *= r / region.norm(y)
+        gamma = rng.uniform(0.0, 1.0)
+        slack = r - region.norm(gamma * x + (1.0 - gamma) * y)
+        need = gamma * (1.0 - gamma) * 0.5 * alpha * region.norm(x - y) ** 2
+        assert slack >= need * (1.0 - 1e-9) - 8.0 * EPS * r
+
+
 def test_diameters():
     # p <= 2 balls sit inside the l_2 ball of the same radius
     assert LpBall(p=1.5, r=2.0, d=9).euclidean_diameter() == pytest.approx(4.0)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from projfree.errors import DivergenceError, NumericFailure
 from projfree.feasible_sets import LpBall, SchattenPBall
 from projfree.losses import (
+    BiWeightLoss,
     ObservedQuadraticLoss,
     QuadraticLoss,
     SquaredSigmoidLoss,
@@ -759,6 +760,62 @@ def test_nonfinite_iterate_stops_on_the_nonfinite_loss():
     with pytest.raises(NumericFailure, match="non-finite loss at iteration 1"):
         fw_run(loss, BrokenBall(p=2.0, r=1.0, d=3), PredefinedDecay(), 5,
                init=np.zeros(3))
+
+
+@pytest.mark.parametrize("loss_cls", [SquaredSigmoidLoss, BiWeightLoss])
+@pytest.mark.parametrize("method", ["fw", "pa", "gd"])
+def test_an_infinite_vertex_stops_the_run_at_its_iteration(loss_cls, method):
+    # Both losses stay finite at an infinite iterate (the squared sigmoid
+    # saturates, the bi-weight loss is bounded), so only the recorded gap
+    # can tell that the oracle's answer was not a number.
+    class InfiniteFourthVertex(LpBall):
+        calls = 0
+
+        def lmo(self, c):
+            self.calls += 1
+            v = super().lmo(c)
+            if self.calls == 4:
+                v[0] = np.inf
+            return v
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 3))
+    loss = loss_cls(TabularDataset(x, (x @ np.ones(3) > 0.0).astype(np.float64)))
+    region = InfiniteFourthVertex(p=2.0, r=1.0, d=3)
+    runs = {
+        "fw": lambda: fw_run(loss, region, PredefinedDecay(), 10),
+        "pa": lambda: pa_run(loss, region, "A", 10),
+        "gd": lambda: projected_gd_run(loss, region, 0.1, 10),
+    }
+    # The 4th call answers at iteration 2 for FW (init, first step, two
+    # records) and PA (init, a record and two steps), and at iteration 3
+    # for GD (init and three records).
+    t = 3 if method == "gd" else 2
+    with pytest.raises(DivergenceError, match=f"non-finite gap at iteration {t}"):
+        runs[method]()
+
+
+def test_schatten_arguments_are_checked_once(monkeypatch):
+    # Each array of the set's shape that reaches a loss or set method is
+    # checked for NaN and inf once: the PA step's gradient call and its
+    # oracle call, and the record's oracle call, plus init and the final
+    # point.  A Schatten method that ran as_shaped before numerics.svd's
+    # own check made five passes per iteration.
+    observed, _ = gen_lowrank(
+        SyntheticSpec(kind="lowrank", m=6, n=5, seed=47, rank=2, fraction=0.5)
+    )
+    loss = ObservedQuadraticLoss(observed)
+    region = SchattenPBall(p=1.5, r=3.0, m=6, n=5)
+    passes = [0]
+
+    def isfinite(a, _fn=np.isfinite):
+        passes[0] += np.shape(a) == region.shape
+        return _fn(a)
+
+    monkeypatch.setattr(np, "isfinite", isfinite)
+    iters = 10
+    pa_run(loss, region, option="A", iters=iters, init=np.zeros((6, 5)))
+    assert passes[0] == 3 * iters + 2
 
 
 def test_pa_on_schatten_ball_makes_two_svds_per_iteration(monkeypatch):
