@@ -276,7 +276,10 @@ def _build_dataset(sec: dict):
     std = sec.pop("standardize", False)
     if kind in _GENERATORS:
         spec = SyntheticSpec(kind=kind.removeprefix("synthetic-"), **sec)
-        data, _ = _GENERATORS[kind](spec)
+        try:
+            data, _ = _GENERATORS[kind](spec)
+        except ValueError as exc:  # the schema leaves only an unreachable margin
+            raise ConfigError(f"dataset.margin: {exc}") from exc
     elif kind == "csv":
         data = _load(load_delimited, sec["path"], sec["target_column"],
                      has_header=sec["has_header"])

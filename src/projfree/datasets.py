@@ -14,6 +14,11 @@ import numpy as np
 from .losses import ObservedMatrix, TabularDataset
 from .perturbation import sample_unit_sphere
 
+# Rejection sampling gives up on a classification sample after this many
+# draws; where a draw meets the margin with chance 2e-4, a sample fails with
+# odds e^-10.
+_MAX_MARGIN_DRAWS = 50_000
+
 
 def _numeric(token: str, where: str) -> float:
     try:
@@ -218,6 +223,9 @@ def gen_classification(spec: SyntheticSpec):
 
     Each sample satisfies |<w_true, x_i>| >= margin (rejection sampling), so
     the planted direction separates the classes with the requested margin.
+    The chance that a draw meets it falls as (1 - margin)^((d - 1) / 2) for
+    a margin near 1; a sample that no draw of _MAX_MARGIN_DRAWS meets raises
+    ValueError.
     """
     if spec.kind != "classification":
         raise ValueError(f"gen_classification got kind {spec.kind!r}")
@@ -228,11 +236,16 @@ def gen_classification(spec: SyntheticSpec):
     xs = np.zeros((spec.n, spec.d))
     ys = np.zeros(spec.n)
     for i in range(spec.n):
-        while True:
+        for _ in range(_MAX_MARGIN_DRAWS):
             x = sample_unit_sphere(spec.d, rng)
             score = float(w_true @ x)
             if abs(score) >= spec.margin:
                 break
+        else:
+            raise ValueError(
+                f"margin {spec.margin} is out of reach at d = {spec.d}: no "
+                f"draw of {_MAX_MARGIN_DRAWS} met it for sample {i}"
+            )
         xs[i] = x
         ys[i] = 1.0 if score > 0.0 else 0.0
     return TabularDataset(xs, ys), w_true

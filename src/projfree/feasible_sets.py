@@ -9,9 +9,13 @@ A family states how to evaluate its nested norm, its closed-form linear
 minimization oracle (lmo) and its Euclidean projection (closed form at
 p = 1, 2, inf, else Newton on the KKT multiplier).  Oracles are
 deterministic on ties and zeros.  Each argument gets one NaN/inf check, by
-numerics.as_shaped or, on a Schatten ball, by numerics.svd.  The oracles
-are built on one dual-norm witness, _max_unit_vector, taken on a vector, on
-singular values or on rows, and group row norms are numerics.lp_norms.
+numerics.as_shaped or, where a Schatten method takes an SVD, by
+numerics.svd.  The oracles are built on one dual-norm witness,
+_max_unit_vector, taken on a vector, on singular values or on rows, and
+group row norms are numerics.lp_norms.  The Schatten oracle for
+1 < p <= 2 instead takes numerics.eigh of the Gram matrix of the smaller
+side, which for q >= 2 gives the answer without dividing by a singular
+value.
 """
 
 import math
@@ -19,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import NumericFailure
-from .numerics import as_shaped, lp_norm, lp_norms, svd
+from .numerics import as_shaped, eigh, lp_norm, lp_norms, svd
 
 # Points whose set-norm is within this relative slack of the radius are
 # treated as already feasible by project().
@@ -309,6 +313,8 @@ class SchattenPBall(_NormBall):
         return lp_norm(self._svd(x)[1].s, exponents[0])
 
     def lmo(self, c) -> np.ndarray:
+        if 1.0 < self.p <= 2.0:
+            return self._gram_lmo(as_shaped(c, self.shape))
         c, dec = self._svd(c)
         if 0.0 < dec.s[0] < _TINY:  # a subnormal spectrum keeps a few bits
             dec = svd(np.ldexp(c, 1022))
@@ -316,6 +322,29 @@ class SchattenPBall(_NormBall):
             return self._first_vertex()
         w = _max_unit_vector(dec.s, self.p)[0]
         return -self.r * (dec.u * w) @ dec.v.T
+
+    def _gram_lmo(self, c: np.ndarray) -> np.ndarray:
+        """The lmo for 1 < p <= 2, from the Gram matrix of the smaller side.
+
+        With a = c (or c^T, whichever has fewer columns) times the power of
+        two that puts max|a| in [1/2, 1), and a^T a = V diag(s^2) V^T,
+            v = -r a V diag(t^(q-2)) V^T / ||s||_q,  t = s / ||s||_q,
+        whose singular values are r t^(q-1): ||v||_p = r and <v, c> =
+        -r ||c||_q.  As q >= 2, no singular value is divided by, so the
+        small ones that squaring blurs enter with weights t^(q-2) <= 1.
+        """
+        top = float(np.abs(c).max())
+        if top == 0.0:
+            return self._first_vertex()
+        wide = self.m < self.n
+        a = np.ldexp(c.T if wide else c, -math.frexp(top)[1])
+        lam, vecs = eigh(a.T @ a)
+        s = np.sqrt(np.maximum(lam, 0.0))  # rounding can leave lam < 0
+        q = _conjugate(self.p)
+        dual = lp_norms(s, q)  # at least max|a| >= 1/2
+        w = (s / dual) ** (q - 2.0) / dual
+        v = -self.r * (a @ ((vecs * w) @ vecs.T))
+        return v.T if wide else v
 
     def project(self, x) -> np.ndarray:
         x, dec = self._svd(x)

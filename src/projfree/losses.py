@@ -380,7 +380,9 @@ class ObservedQuadraticLoss(Loss):
         diff = w.ravel()[self._idx] - self._vals  # row-major observed entries
         g = np.zeros(self.shape)
         g.flat[self._idx] = 2.0 * diff
-        return float(diff @ diff), g
+        # vdot, unlike matmul, overflows to inf without a warning; the run
+        # loop then stops on the non-finite loss.
+        return float(np.vdot(diff, diff)), g
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         w = as_shaped(w, self.shape)

@@ -99,6 +99,15 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, v=vt.T)
 
 
+def eigh(a) -> tuple:
+    """Eigenvalues, ascending, and orthonormal eigenvectors of a finite
+    symmetric matrix by LAPACK: a = v @ diag(w) @ v.T.  Returns (w, v)."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"eigh failed: {exc}") from exc
+
+
 def lambda_max_bound(a) -> float:
     """Upper bound on the largest eigenvalue of a symmetric matrix.
 

@@ -1,6 +1,7 @@
 """End-to-end command tests through an in-process click runner."""
 
 import csv
+import time
 
 import numpy as np
 import pytest
@@ -449,6 +450,22 @@ def test_run_classification_margin_out_of_range_exits_2(runner, tmp_path, margin
     result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
     assert result.exit_code == 2
     assert "dataset.margin: must be < 1" in result.stderr
+
+
+def test_run_classification_margin_out_of_reach_exits_2_quickly(runner, tmp_path):
+    # margin 0.999999 passes the schema, but at d = 5 a draw meets it with
+    # chance about 1.5e-12; the sampler once drew without end here.
+    cfg = _base_config(
+        dataset={"kind": "synthetic-classification", "n": 8, "d": 5,
+                 "margin": 0.999999},
+        loss={"kind": "logistic"},
+        optimizer={"kind": "fw", "iters": 1},
+    )
+    start = time.perf_counter()
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 2
+    assert "dataset.margin: margin 0.999999 is out of reach at d = 5" in result.stderr
 
 
 # ---------------------------------------------------------------------------

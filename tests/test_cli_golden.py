@@ -113,7 +113,7 @@ GOLDEN = {
     "sgd-sqrt": ("sgd", "b2add119b9e0fb819489b28dafa741debacc009e0c1c79e63b3823c5ed66afea"),
     "sgd-constant": ("sgd", "57b1f85d688b62798ab4189cbbd0c483a40ded975a6f7f7ecd890e0bd9c3f30f"),
     "fw-csv-standardized": ("fw/predefined", "37fea6e0a15e357466b2391be17bb393509fc186724995c7f82f24b47edca2f4"),
-    "pa-schatten": ("pa/A", "98d06c1e0b6bbd0f7c5fbb0429dd9ed7ec1b9f37d3e744a69f28dd9362e7ac8b"),
+    "pa-schatten": ("pa/A", "fdc3fc20bc2948aed5d51506ac2865445c23b249d003509ed8f2556ade641d3d"),
     "fw-group": ("fw/quadratic", "33a014f397465d9c367f75f9e3e761fcb80773948633f9b28a25a2915dd4dbd8"),
     "fw-quadratic-bias": ("fw/quadratic", "d4da606432678ba0a2f09551730add3e8cf9d7b32a634c2c4a859c7c92cdc9d8"),
 }

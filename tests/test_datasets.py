@@ -14,6 +14,7 @@ from projfree.datasets import (
     standardize,
 )
 from projfree.losses import ObservedQuadraticLoss, TabularDataset
+from projfree.perturbation import sample_unit_sphere
 from projfree.problems import ridge_path_optimum
 
 
@@ -258,6 +259,43 @@ def test_classification_rejects_unachievable_margin():
         gen_classification(
             SyntheticSpec(kind="classification", n=5, d=2, margin=1.0)
         )
+
+
+def _uncapped_classification(spec):
+    """The rejection sampler without a draw cap, as a reference."""
+    rng = np.random.default_rng(spec.seed)
+    w_true = sample_unit_sphere(spec.d, rng)
+    xs, ys = np.zeros((spec.n, spec.d)), np.zeros(spec.n)
+    for i in range(spec.n):
+        while True:
+            x = sample_unit_sphere(spec.d, rng)
+            score = float(w_true @ x)
+            if abs(score) >= spec.margin:
+                break
+        xs[i], ys[i] = x, float(score > 0.0)
+    return xs, ys, w_true
+
+
+@pytest.mark.parametrize("n, d, margin, seed", [
+    (500, 5, 0.5, 7),  # the benchmark's quasi-linesearch data
+    (40, 3, 0.9, 1),
+    (20, 2, 0.999, 3),  # about 1 draw in 35 meets it
+    (500, 10, 0.3, 0),  # the CLI's defaults
+])
+def test_classification_draws_match_the_uncapped_sampler(n, d, margin, seed):
+    spec = SyntheticSpec(kind="classification", n=n, d=d, seed=seed, margin=margin)
+    data, w_true = gen_classification(spec)
+    xs, ys, w_ref = _uncapped_classification(spec)
+    np.testing.assert_array_equal(w_true, w_ref)
+    np.testing.assert_array_equal(data.features, xs)
+    np.testing.assert_array_equal(data.targets, ys)
+
+
+def test_classification_gives_up_on_a_margin_out_of_reach():
+    # A draw meets margin 0.999999 at d = 5 with chance about 1.5e-12.
+    spec = SyntheticSpec(kind="classification", n=8, d=5, seed=0, margin=0.999999)
+    with pytest.raises(ValueError, match="margin 0.999999 is out of reach at d = 5"):
+        gen_classification(spec)
 
 
 def test_lowrank_rank_and_count():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from projfree.errors import NumericFailure
 from projfree.feasible_sets import (
     GroupLpqBall,
     LpBall,
@@ -356,6 +357,57 @@ def test_schatten_lmo_duality_beyond_old_size_cap():
     assert float(np.vdot(v, c)) == pytest.approx(
         -ball.r * np.linalg.norm(s, 3.0), rel=1e-9
     )
+
+
+# The Schatten oracle for 1 < p <= 2 works from the Gram matrix of the
+# smaller side, whose eigenvalues hold the squares of the singular values:
+# costs with singular values from 1 to 1e-8 lose the small ones' low bits
+# there, and magnitudes far from 1 would overflow or underflow the square.
+
+_GRAM_EXPONENTS = [1.0 + 1e-6, 1.2, 1.5, 2.0]
+_GRAM_SHAPES = [(9, 4), (4, 9), (6, 6), (1, 7), (7, 1)]
+
+
+def _ill_conditioned(shape, scale, seed=29):
+    """A cost of `shape` with singular values logspaced from scale to 1e-8 scale."""
+    rng = np.random.default_rng(seed)
+    k = min(shape)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return (u * np.logspace(0.0, -8.0, k)) @ v.T * scale
+
+
+def _svd_witness(c, p, r):
+    """The oracle's answer in its SVD form, -r U diag(t^(q-1)) V^T with
+    t = s / ||s||_q, from numpy's SVD of c / max|c|."""
+    u, s, vt = np.linalg.svd(c / np.abs(c).max(), full_matrices=False)
+    q = _conjugate(p)
+    t = s / lp_norm(s, q)
+    return -r * (u * t ** (q - 1.0)) @ vt
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("shape", _GRAM_SHAPES, ids=str)
+@pytest.mark.parametrize("p", _GRAM_EXPONENTS)
+def test_schatten_gram_lmo_is_exact_on_ill_conditioned_costs(p, shape, scale):
+    r = 2.5
+    ball = SchattenPBall(p, r, *shape)
+    c = _ill_conditioned(shape, scale)
+    v = ball.lmo(c)
+    u = c / np.abs(c).max()  # the identity on a cost whose products stay in range
+    dual = lp_norm(np.linalg.svd(u, compute_uv=False), _conjugate(p))
+    assert float(np.vdot(v, u)) == pytest.approx(-r * dual, rel=1e-12)
+    assert lp_norm(np.linalg.svd(v, compute_uv=False), p) == pytest.approx(r, rel=1e-12)
+    np.testing.assert_allclose(v, _svd_witness(c, p, r), rtol=0.0, atol=1e-12 * r)
+
+
+def test_schatten_gram_lmo_maps_an_eigh_failure_to_numeric_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericFailure, match="eigh failed: Eigenvalues did not converge"):
+        SchattenPBall(1.5, 1.0, 3, 2).lmo(np.arange(6.0).reshape(3, 2))
 
 
 # ---------------------------------------------------------------------------

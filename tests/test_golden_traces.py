@@ -210,18 +210,18 @@ GOLDEN = {
     "fw-exact-tilted": "4fd1a6c764d9cf48361ab872b7ad4188dd7586f460a2d3bbcfa1af7ba3b6d043",
     "fw-short": "e05ae76c4aa1f68723576a65dcbd1346f785dcc5b296b1c2f30d01718eef72ed",
     "fw-short-tilted": "43b2a73ef3bab317eb77011c1407f6eb792e447e6d1f764d836659fe0162a6f0",
-    "fw-schatten": "8ef1fb2dd7c2be3efb8703bbcbd9b65121f67bb36232e4a9de46fa81d1b1b231",
+    "fw-schatten": "7620e887663704a78f684ee2130c74868e8fd4e643f0e7cd1f44490f8935ed91",
     "fw-group": "3b5771cc400b5689b05c5278a0c35884dee51f0368c5b32c8571d3cd4ca6bd17",
     "fw-group-p15": "8814be83d6a50683f29130d0670c206dbdfe7bbdc75ef76de67c9f9d555a8049",
     "pa-A": "1b1a2e2ff814c8a220a11a08a3e7d686c0983b161a8c35936d1f09caf9285907",
     "pa-A-tilted": "789a75ad10c319737c42dd87b7e0d0a56a2f1f9a6cb2533b529dc8e2ff92190f",
-    "pa-A-schatten": "65a9bff8ef187b0395583df79eebbd3ef960e8714af595b1baf93cf618d4f841",
+    "pa-A-schatten": "65eddcfb96d6464c69e3bc5d8927a2954e7f353019adf287a2b2cd7bdf8de293",
     "pa-B": "3aaacf5ba28d8a019f9be07e915f0b669fcec3cc4784e3f2a24dc67f72c54e61",
     "pa-B-tilted": "27dbf36407172727ff8361cf207c9963b82b4f5b47e84b662117efa8ac40b6ba",
-    "pa-B-schatten": "fbe88a39ec29242b0a935d710b281212685f8346c155f522d024b38e639023f9",
+    "pa-B-schatten": "c7b880f8be0273ab970562a7c8e071cd18a1b63a9bab8bb35224b30fad311f79",
     "pa-b": "3aaacf5ba28d8a019f9be07e915f0b669fcec3cc4784e3f2a24dc67f72c54e61",
     "pa-b-tilted": "27dbf36407172727ff8361cf207c9963b82b4f5b47e84b662117efa8ac40b6ba",
-    "pa-b-schatten": "fbe88a39ec29242b0a935d710b281212685f8346c155f522d024b38e639023f9",
+    "pa-b-schatten": "c7b880f8be0273ab970562a7c8e071cd18a1b63a9bab8bb35224b30fad311f79",
     "spa": "59950c3d3af1719d45df5b8ec41f59ad8d6e11f028c8f8be7760f7683bfbb09b",
     "spa-default-rng": "82c288a2b37b188a79d3b605da745b5dc7a1ce4ce7d7311d69de374ce2ba73c9",
     "spa-tilted": "fd9ae1ff89876636255bad67ac28926c0bc24d1ef2b5de1c734e1695c4b9bff9",

@@ -7,6 +7,7 @@ recorded snapshots and verify the defining recurrences.
 import math
 import sys
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -818,21 +819,45 @@ def test_schatten_arguments_are_checked_once(monkeypatch):
     assert passes[0] == 3 * iters + 2
 
 
-def test_pa_on_schatten_ball_makes_two_svds_per_iteration(monkeypatch):
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_pa_on_schatten_ball_makes_two_spectral_calls_per_iteration(monkeypatch, p):
     from projfree import feasible_sets
 
     observed, _ = gen_lowrank(
         SyntheticSpec(kind="lowrank", m=6, n=5, seed=47, rank=2, fraction=0.5)
     )
     loss = ObservedQuadraticLoss(observed)
-    region = SchattenPBall(p=1.5, r=3.0, m=6, n=5)
+    region = SchattenPBall(p=p, r=3.0, m=6, n=5)
     counts = {}
-    _count_calls(monkeypatch, feasible_sets, ["svd"], counts)
+    _count_calls(monkeypatch, feasible_sets, ["svd", "eigh"], counts)
     _count_calls(monkeypatch, region, ["contains"], counts)
     iters = 10
     pa_run(loss, region, option="A", iters=iters, init=np.zeros((6, 5)))
-    # The step's and the gap's oracle calls, plus init and final-point checks.
-    assert counts == {"svd": 2 * iters + 2, "contains": 2}
+    # The step's and the gap's oracle calls: a Gram eigendecomposition each
+    # for 1 < p <= 2, an SVD each otherwise.  The init and final-point
+    # checks take an SVD each.
+    gram = p <= 2.0
+    assert counts == {"eigh": 2 * iters if gram else 0,
+                      "svd": (0 if gram else 2 * iters) + 2, "contains": 2}
+
+
+@pytest.mark.parametrize("method", ["pa", "fw"])
+@pytest.mark.parametrize("r", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_observed_loss_overflow_stops_the_run_without_a_warning(p, r, method):
+    # At these radii the squared residuals overflow: the loss value is inf,
+    # and the run stops on it with no RuntimeWarning on the way.
+    observed, _ = gen_lowrank(
+        SyntheticSpec(kind="lowrank", m=6, n=5, seed=47, rank=2, fraction=0.5)
+    )
+    loss = ObservedQuadraticLoss(observed)
+    region = SchattenPBall(p=p, r=r, m=6, n=5)
+    runs = {"pa": lambda: pa_run(loss, region, "A", 10),
+            "fw": lambda: fw_run(loss, region, PredefinedDecay(), 10)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="non-finite loss at iteration 1"):
+            runs[method]()
 
 
 def test_step_ms_includes_the_reused_gradient_and_oracle_call(monkeypatch):

@@ -35,14 +35,18 @@ def test_patched_name_resolves(owner, name):
 # The layer table counts a set's kernel calls through these two names only:
 # a set that reaches a private kernel, or the same kernel twice, would
 # change numerics.svd.calls or numerics.lp_norm.calls without failing a test.
+# The Schatten oracle for 1 < p <= 2 calls neither; its Gram eigh counts
+# toward feasible_sets.lmo.
 _LP = feasible_sets.LpBall(p=1.5, r=1.0, d=4)
 _SCHATTEN = feasible_sets.SchattenPBall(p=1.5, r=1.0, m=4, n=3)
+_SCHATTEN_P3 = feasible_sets.SchattenPBall(p=3.0, r=1.0, m=4, n=3)
 _GROUP = feasible_sets.GroupLpqBall(p=2.0, q=1.5, r=1.0, m=4, n=3)
 _MATRIX = np.arange(1.0, 13.0).reshape(4, 3) / 10.0
 _VECTOR = np.array([0.3, -1.2, 0.0, 2.5])
 
 _KERNEL_CALLS = [  # (call, its numerics.svd and numerics.lp_norm calls)
-    ("schatten.lmo", lambda: _SCHATTEN.lmo(_MATRIX), (1, 0)),
+    ("schatten.lmo", lambda: _SCHATTEN.lmo(_MATRIX), (0, 0)),
+    ("schatten-p3.lmo", lambda: _SCHATTEN_P3.lmo(_MATRIX), (1, 0)),
     ("schatten.project-outside", lambda: _SCHATTEN.project(_MATRIX), (1, 1)),
     ("schatten.project-inside", lambda: _SCHATTEN.project(_MATRIX / 100.0), (1, 1)),
     ("schatten.norm", lambda: _SCHATTEN.norm(_MATRIX), (1, 1)),
