@@ -11,9 +11,9 @@ that Gram form through its base.  A tabular loss writes
 its per-sample value and slope once, in _terms(m, y).  The line search's
 _chord(w, v) makes one pass per distinct step size, with a memo of two
 floats per step size.  The stochastic form returns (N / |idx|) times the
-sum of per-sample gradients: the full index set reproduces gradient(w).
-smoothness() is a proven global bound on the gradient's Lipschitz constant
-in the Euclidean norm, from a closed form for each loss.
+sum of per-sample gradients; a tabular loss returns gradient(w) for the
+index set 0..N-1.  smoothness() is a proven global bound on the gradient's
+Lipschitz constant in the Euclidean norm, from a closed form for each loss.
 """
 
 from functools import lru_cache
@@ -160,7 +160,9 @@ class _TabularLoss(Loss):
 
     The Hessian is X^T diag(psi''(m_i, y_i)) X, so with _CURVATURE the
     supremum of |psi''| over margins and targets, smoothness() bounds its
-    spectral norm by _CURVATURE * lambda_max(X^T X).
+    spectral norm by _CURVATURE * lambda_max(X^T X).  A subclass may hold
+    X^T X in _gram; else smoothness() forms the smaller of X^T X and X X^T,
+    which share their nonzero eigenvalues.
     """
 
     _CURVATURE: float
@@ -175,6 +177,7 @@ class _TabularLoss(Loss):
         self._y = data.targets
         self.n_samples = data.n
         self.shape = (x.shape[1],)
+        self._gram = None
 
     def _margins(self, w) -> np.ndarray:
         return self._x @ w
@@ -185,13 +188,17 @@ class _TabularLoss(Loss):
 
     def stochastic_gradient(self, w, indices) -> np.ndarray:
         idx = self._check_indices(indices)
+        if idx.size == self.n_samples and np.array_equal(idx, np.arange(idx.size)):
+            return self.gradient(w)  # bit for bit the full gradient
         xs = self._x[idx]
         m = xs @ as_shaped(w, self.shape)
         coef = self._terms(m, self._y[idx])[1]
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
     def smoothness(self) -> float:
-        return self._CURVATURE * lambda_max_bound(_gram(self._x))
+        x = self._x if self._x.shape[0] >= self._x.shape[1] else self._x.T
+        gram = _gram(x) if self._gram is None else self._gram
+        return self._CURVATURE * lambda_max_bound(gram)
 
     def _chord(self, w, v):
         # The margins are affine in gamma, so each probe is one O(n) pass.
@@ -254,7 +261,6 @@ class QuadraticLoss(_TabularLoss):
         if self.bias:
             self._x = self._x - self._x.mean(axis=0)
             self._y = self._y - np.mean(self._y)
-        self._gram = None
         if self._GRAM_RATIO * data.d <= data.n:
             self._gram, self._xty = _gram(self._x), self._x.T @ self._y
 
@@ -286,13 +292,7 @@ class QuadraticLoss(_TabularLoss):
     def _value_and_gradient(self, w):
         # No buffer is kept on the loss: threads may share one instance.
         r = self._residuals(w)
-        return float(r @ r), self._gradient(w, r)
-
-    def stochastic_gradient(self, w, indices) -> np.ndarray:
-        idx = self._check_indices(indices)
-        if idx.size == self.n_samples and np.array_equal(idx, np.arange(idx.size)):
-            return self.gradient(w)  # bit for bit the full gradient
-        return super().stochastic_gradient(w, idx)
+        return float(np.vdot(r, r)), self._gradient(w, r)
 
     def _chord(self, w, v):
         # The residual is affine in the model, so on the chord it is
@@ -302,14 +302,9 @@ class QuadraticLoss(_TabularLoss):
 
         def probe(gamma):
             rg = r + gamma * dr
-            return float(rg @ rg), 2.0 * float(rg @ dr)
+            return float(np.vdot(rg, rg)), 2.0 * float(np.vdot(rg, dr))
 
         return _memoized_chord(probe)
-
-    def smoothness(self) -> float:
-        # On tall data the Gram form's matrix is already held.
-        gram = _gram(self._x) if self._gram is None else self._gram
-        return self._CURVATURE * lambda_max_bound(gram)
 
     def exact_smoothness(self) -> float:
         """Same as smoothness(); perfbench patches and calls this name."""

@@ -131,7 +131,9 @@ def line_search_quadratic(directional: float, dist2: float, smoothness: float) -
     """argmin_{gamma in [0,1]} gamma * directional + gamma^2 * L * dist2 / 2.
 
     `directional` is <v - w, grad> and dist2 is ||v - w||^2.  Non-descent
-    directions return 0; a degenerate chord (dist2 = 0) returns 0.
+    directions return 0; a degenerate chord (dist2 = 0) returns 0.  When
+    L * dist2 underflows to 0 the step is 1, the clamped minimizer of the
+    model as its curvature goes to 0.
     """
     if smoothness <= 0.0:
         raise ValueError(f"smoothness must be > 0, got {smoothness}")
@@ -139,7 +141,8 @@ def line_search_quadratic(directional: float, dist2: float, smoothness: float) -
         raise ValueError(f"dist2 must be >= 0, got {dist2}")
     if dist2 == 0.0 or directional >= 0.0:
         return 0.0
-    return min(1.0, -directional / (smoothness * dist2))
+    curvature = smoothness * dist2
+    return 1.0 if curvature == 0.0 else min(1.0, -directional / curvature)
 
 
 def short_step(grad_dual_norm: float, alpha: float, smoothness: float) -> float:

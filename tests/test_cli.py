@@ -468,6 +468,102 @@ def test_run_classification_margin_out_of_reach_exits_2_quickly(runner, tmp_path
     assert "dataset.margin: margin 0.999999 is out of reach at d = 5" in result.stderr
 
 
+def test_run_quadratic_rule_with_underflowing_curvature_exits_0(runner, tmp_path):
+    # L * ||v - w||^2 = 1e-300 * (a few 1e-24) underflows to 0; the rule
+    # then takes the full step instead of dividing by zero.
+    cfg = {
+        "dataset": {"kind": "synthetic-lowrank", "m": 6, "n": 5, "rank": 2,
+                    "seed": 3},
+        "loss": {"kind": "observed-quadratic"},
+        "set": {"kind": "group", "p": 2.0, "q": 1.5, "r": 1e-12},
+        "optimizer": {"kind": "fw", "step_rule": "quadratic",
+                      "smoothness": 1e-300, "iters": 5},
+    }
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "iterations: 5" in result.output
+
+
+def test_run_libsvm_dataset_end_to_end(runner, tmp_path):
+    rng = np.random.default_rng(63)
+    x = rng.standard_normal((30, 4))
+    labels = (x @ [1.0, -1.0, 0.5, 0.0] > 0.0).astype(int)  # 0/1: read as -1/+1
+    path = tmp_path / "data.svm"
+    path.write_text("".join(
+        f"{t} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if j != 2)
+        + "\n" for t, row in zip(labels, x.tolist())))
+    cfg = _base_config(dataset={"kind": "libsvm", "path": str(path)},
+                       loss={"kind": "logistic"},
+                       optimizer={"kind": "fw", "iters": 5})
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "iterations: 5" in result.output
+
+
+def test_run_ratings_dataset_end_to_end(runner, tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("".join(f"{u},{i},{(u * i) % 5 + 1}\n"
+                            for u in range(1, 7) for i in range(1, 6)
+                            if (u + i) % 3))
+    cfg = {
+        "dataset": {"kind": "ratings", "path": str(path)},
+        "loss": {"kind": "observed-quadratic"},
+        "set": {"kind": "schatten", "p": 1.5, "r": 10.0},
+        "optimizer": {"kind": "pa", "iters": 5},
+    }
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "algorithm: pa/A" in result.output
+
+
+@pytest.mark.parametrize("loss, given, read", [
+    ("logistic", (0.0, 1.0), (-1.0, 1.0)),
+    ("squared-sigmoid", (-1.0, 1.0), (0.0, 1.0)),
+])
+def test_run_maps_binary_labels_to_the_loss_convention(tmp_path, loss, given, read):
+    x = np.random.default_rng(64).standard_normal(20).tolist()
+    traces = []
+    for k, labels in enumerate((given, read)):
+        csv = tmp_path / f"labels{k}.csv"
+        csv.write_text("".join(f"{a!r},{labels[a > 0.0]!r}\n" for a in x))
+        cfg = _base_config(
+            dataset={"kind": "csv", "path": str(csv), "target_column": 1},
+            loss={"kind": loss}, optimizer={"kind": "fw", "iters": 5},
+        )
+        traces.append(cli.run_from_config(cfg)[0].loss_f)
+    assert traces[0] == traces[1]
+
+
+_LOWRANK = {"kind": "synthetic-lowrank", "m": 6, "n": 5, "rank": 2, "seed": 1}
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"dataset": {"kind": "csv", "target_column": 1}},
+     "dataset.path: required field is missing"),
+    ({"set": {"kind": "lp", "r": float("nan")}}, "set.r: must not be NaN"),
+    ({"set": {"kind": "lp", "r": float("inf")}}, "set.r: must be finite"),
+    ({"optimizer": {"kind": "fw", "iters": "10"}},
+     "optimizer.iters: expected an integer, got '10'"),
+    ({"dataset": _LOWRANK,
+      "loss": {"kind": "observed-quadratic", "bias": True}},
+     "loss.bias: not supported for observed-quadratic"),
+    ({"loss": {"kind": "observed-quadratic"}},
+     "loss.kind: observed-quadratic needs a matrix dataset"),
+    ({"dataset": _LOWRANK}, "loss.kind: quadratic needs a tabular dataset"),
+    ({"set": {"kind": "schatten", "p": 1.5}},
+     "set.kind: schatten needs a matrix model"),
+    ({"set": {"kind": "lp", "p": 3.0},
+      "optimizer": {"kind": "fw", "step_rule": "short"}},
+     "set: short step rule:"),
+], ids=["missing", "nan", "inf", "type", "observed-bias", "observed-tabular",
+        "tabular-matrix", "matrix-set", "short-no-modulus"])
+def test_run_invalid_config_exits_2_naming_the_field(runner, tmp_path, updates, message):
+    cfg = _base_config(**updates)
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, cfg))])
+    assert result.exit_code == 2, result.output + str(result.exception)
+    assert message in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # slope
 

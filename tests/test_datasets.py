@@ -365,3 +365,14 @@ def test_ridge_path_matches_one_dimensional_calculus():
     sign = np.sign(w_true[0])
     assert w_star[0] == pytest.approx(sign * 1.0, rel=1e-6)
     assert f_star == pytest.approx(float(np.sum(data.features**2)), rel=1e-6)
+
+def test_ridge_path_returns_the_least_squares_solution_inside_the_ball():
+    spec = SyntheticSpec(kind="regression", n=30, d=3, noise=0.1, seed=6, w_norm=0.5)
+    data, _ = gen_regression(spec)
+    x, y = data.features, data.targets
+    w_ls = np.linalg.lstsq(x, y, rcond=None)[0]
+    radius = 2.0 * float(np.linalg.norm(w_ls))
+    f_star, w_star = ridge_path_optimum(x, y, radius)
+    np.testing.assert_allclose(w_star, w_ls, rtol=1e-10, atol=0.0)
+    resid = x @ w_ls - y
+    assert f_star == pytest.approx(float(resid @ resid), rel=1e-10)

@@ -401,6 +401,23 @@ def test_schatten_gram_lmo_is_exact_on_ill_conditioned_costs(p, shape, scale):
     np.testing.assert_allclose(v, _svd_witness(c, p, r), rtol=0.0, atol=1e-12 * r)
 
 
+def test_schatten_svd_lmo_rescales_a_subnormal_spectrum(monkeypatch):
+    # p = 3 takes the SVD path; at 1e-310 the spectrum keeps a few bits
+    # unless the cost is first scaled by 2^1022, which is exact.
+    from projfree import feasible_sets
+
+    r = 2.5
+    c = 1e-310 * np.random.default_rng(65).standard_normal((4, 3))
+    calls = []
+    svd = feasible_sets.svd
+    monkeypatch.setattr(feasible_sets, "svd", lambda a: calls.append(1) or svd(a))
+    v = SchattenPBall(3.0, r, 4, 3).lmo(c)
+    assert len(calls) == 2  # the subnormal spectrum's SVD, then the rescaled one
+    scaled = np.ldexp(c, 1022)
+    dual = lp_norm(np.linalg.svd(scaled, compute_uv=False), _conjugate(3.0))
+    assert float(np.vdot(v, scaled)) == pytest.approx(-r * dual, rel=1e-12)
+
+
 def test_schatten_gram_lmo_maps_an_eigh_failure_to_numeric_failure(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -78,6 +78,9 @@ def _all_losses():
     # Tall enough (8 d <= n) for the Gram-form gradient.
     yield QuadraticLoss(_toy_tabular(40, 3, 40))
     yield QuadraticLoss(_toy_tabular(40, 3, 41), bias=True)
+    # Wide (n < d): smoothness() reads the n x n Gram matrix X X^T.
+    yield QuadraticLoss(_toy_tabular(5, 9, 42))
+    yield LogisticLoss(_toy_tabular(5, 9, 43, labels="pm1"), bias=True)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +796,30 @@ def test_quadratic_smoothness_forms_the_gram_matrix_once(monkeypatch, n, bias):
     value = loss.smoothness()
     assert len(calls) == 1
     assert value == 2.0 * lambda_max_bound(gram(loss._x))
+
+
+@pytest.mark.parametrize("kind", [QuadraticLoss, LogisticLoss])
+def test_wide_data_smoothness_forms_only_the_small_gram_matrix(monkeypatch, kind):
+    # X X^T has the nonzero eigenvalues of X^T X: at n = 30, d = 2000 that
+    # is a 7 kB matrix where X^T X would take 32 MB.
+    n, d = 30, 2000
+    data = _toy_tabular(n, d, 57, labels="pm1")
+    loss = kind(data)
+    shapes = []
+    gram = losses._gram
+    monkeypatch.setattr(losses, "_gram",
+                        lambda x: shapes.append(x.shape) or gram(x))
+    tracemalloc.start()
+    try:
+        value = loss.smoothness()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(d, n)]  # the Gram matrix of X^T, that is X X^T
+    assert peak < 8 * d * d // 10
+    sigma = float(np.linalg.svd(data.features, compute_uv=False)[0])
+    want = kind._CURVATURE * sigma**2
+    assert want <= value <= want * (1.0 + 1e-7)
 
 
 def test_smoothness_delegates_keep_their_names():

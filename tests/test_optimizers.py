@@ -85,6 +85,14 @@ def test_quadratic_line_search_closed_form():
     assert line_search_quadratic(0.0, 4.0, 1.0) == 0.0
 
 
+def test_quadratic_line_search_takes_the_full_step_when_the_curvature_underflows():
+    # L * dist2 = 1e-324 rounds to 0: the model is linear to double
+    # precision, and its clamped minimizer is 1.
+    assert line_search_quadratic(-1.0, 1e-24, 1e-300) == 1.0
+    assert line_search_quadratic(-1e-300, 5e-324, 5e-324) == 1.0
+    assert line_search_quadratic(1.0, 1e-24, 1e-300) == 0.0  # still no ascent
+
+
 def test_exact_line_search_parabola():
     gamma = exact_line_search(lambda g: (g - 0.3) ** 2, lambda g: 2.0 * (g - 0.3))
     assert gamma == pytest.approx(0.3, abs=1e-6)
@@ -852,6 +860,24 @@ def test_observed_loss_overflow_stops_the_run_without_a_warning(p, r, method):
     )
     loss = ObservedQuadraticLoss(observed)
     region = SchattenPBall(p=p, r=r, m=6, n=5)
+    runs = {"pa": lambda: pa_run(loss, region, "A", 10),
+            "fw": lambda: fw_run(loss, region, PredefinedDecay(), 10)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="non-finite loss at iteration 1"):
+            runs[method]()
+
+
+@pytest.mark.parametrize("method", ["pa", "fw"])
+@pytest.mark.parametrize("r", [1e160, 1e200])
+@pytest.mark.parametrize("n", [12, 40])
+def test_quadratic_loss_overflow_stops_the_run_without_a_warning(n, r, method):
+    # d = 4: n = 12 works on the residual, n = 40 holds the Gram form.  Near
+    # these radii the squared residuals overflow: the loss value is inf, and
+    # the run stops on it with no RuntimeWarning on the way.
+    data, _ = gen_regression(SyntheticSpec(kind="regression", n=n, d=4, seed=5))
+    loss = QuadraticLoss(data)
+    region = LpBall(p=1.5, r=r, d=4)
     runs = {"pa": lambda: pa_run(loss, region, "A", 10),
             "fw": lambda: fw_run(loss, region, PredefinedDecay(), 10)}
     with warnings.catch_warnings():
