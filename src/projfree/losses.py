@@ -196,8 +196,14 @@ class _TabularLoss(Loss):
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
     def smoothness(self) -> float:
-        x = self._x if self._x.shape[0] >= self._x.shape[1] else self._x.T
-        gram = _gram(x) if self._gram is None else self._gram
+        if self._gram is not None or self._x.shape[0] >= self._x.shape[1]:
+            gram = _gram(self._x) if self._gram is None else self._gram
+        else:
+            try:
+                gram = _gram(self._x.T)
+            except NumericFailure:  # _gram names X^T X; this product is X X^T
+                raise NumericFailure(
+                    "X X^T overflows: the features are too large") from None
         return self._CURVATURE * lambda_max_bound(gram)
 
     def _chord(self, w, v):

@@ -11,8 +11,10 @@ import re
 import numpy as np
 import pytest
 
+from projfree import optimizers, suites
 from projfree.feasible_sets import LpBall
 from projfree.suites import CRITERIA, SUITES, run_suite
+from projfree.trace import write_trace
 
 
 def _run(num: int, capsys) -> None:
@@ -106,3 +108,60 @@ def test_measured_values_do_not_depend_on_the_thread_count():
                 for r in results]
 
     assert measured(1) == measured(4)
+
+
+# ---------------------------------------------------------------------------
+# each check can fail: a planted fault turns its verdict to FAIL
+
+
+def test_c05_fails_on_a_wrong_batch_schedule(monkeypatch):
+    monkeypatch.setattr(optimizers, "spa_batch_size", lambda t, n: min(t**3, n))
+    res = CRITERIA[5]()
+    assert not res.passed
+    assert res.measured.startswith("batch schedule exact: False")
+
+
+def test_c09_fails_on_a_discontinuous_oracle(monkeypatch):
+    lmo = LpBall.lmo
+
+    def flipped(self, c):
+        v = lmo(self, c)
+        return -v if c[0] <= 0.0 else v
+
+    monkeypatch.setattr(LpBall, "lmo", flipped)
+    res = CRITERIA[9]()
+    assert not res.passed
+    assert int(res.measured.split()[0]) > 0, res.measured
+
+
+def test_c10_fails_when_the_sphere_samples_are_short(monkeypatch):
+    def short(d, rng):
+        x = np.zeros(d)
+        x[1] = 0.01
+        return x
+
+    monkeypatch.setattr(suites, "sample_unit_sphere", short)
+    res = CRITERIA[10]()
+    assert not res.passed
+    for delta in (0.1, 0.3):
+        assert f"delta {delta}: norm rate 1.0000, coord rate 1.0000" in res.measured
+
+
+def test_c12_fails_when_reruns_differ(monkeypatch):
+    calls = [0]
+
+    def write_numbered(trace, path):
+        write_trace(trace, path)
+        calls[0] += 1
+        with open(path, "a") as fh:
+            fh.write(f"# call {calls[0]}\n")
+
+    monkeypatch.setattr(suites, "write_trace", write_numbered)
+    res = CRITERIA[12]()
+    assert not res.passed
+    assert res.measured.startswith("mismatches: ['fwplr-0.csv'")
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(KeyError):
+        run_suite("nope")

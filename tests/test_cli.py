@@ -715,3 +715,40 @@ def test_suite_error_inside_a_check_is_not_a_usage_error(runner, monkeypatch):
     result = runner.invoke(main, ["suite", "nonconvex"])
     assert result.exit_code != 2
     assert isinstance(result.exception, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# run: paths that only some configs take
+
+
+def test_run_reads_a_quoted_infinite_exponent(runner, tmp_path):
+    cfg = _base_config(set={"kind": "lp", "p": ".inf", "r": 1.0})
+    path = _write_config(tmp_path, cfg)
+    assert "p: '.inf'" in path.read_text()  # a string, not YAML's float
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "final loss_f:" in result.output
+
+
+def test_run_too_short_for_a_slope_still_summarizes(runner, tmp_path):
+    cfg = _base_config(optimizer={"kind": "fw", "iters": 5},
+                       analysis={"f_star": 0.0})
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert "final suboptimality:" in result.output
+    assert "convergence (within 2%):" in result.output
+    assert "slope:" not in result.output
+
+
+def test_run_trace_write_failure_after_the_run_exits_2(runner, tmp_path, monkeypatch):
+    def refuse(trace, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_trace", refuse)
+    out = tmp_path / "out.csv"
+    path = _write_config(tmp_path, _base_config(output={"trace": str(out)}))
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 2
+    assert "final loss_f:" in result.output  # the run itself finished
+    assert "could not write trace: [Errno 28] No space left on device" in result.stderr

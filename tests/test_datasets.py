@@ -13,9 +13,11 @@ from projfree.datasets import (
     load_ratings,
     standardize,
 )
-from projfree.losses import ObservedQuadraticLoss, TabularDataset
+from projfree.errors import NumericFailure
+from projfree.feasible_sets import LpBall
+from projfree.losses import ObservedQuadraticLoss, QuadraticLoss, TabularDataset
 from projfree.perturbation import sample_unit_sphere
-from projfree.problems import ridge_path_optimum
+from projfree.problems import ridge_path_optimum, tune_gd_eta
 
 
 def _write(tmp_path, name, text):
@@ -376,3 +378,57 @@ def test_ridge_path_returns_the_least_squares_solution_inside_the_ball():
     np.testing.assert_allclose(w_star, w_ls, rtol=1e-10, atol=0.0)
     resid = x @ w_ls - y
     assert f_star == pytest.approx(float(resid @ resid), rel=1e-10)
+
+
+def test_ridge_path_doubles_its_bracket_for_a_small_radius():
+    # X = I_2, y = (10, 10): w(mu) = y / (1 + mu) reaches the radius 1e-3
+    # far beyond the first bracket mu = 1, and the optimum r y / ||y|| leaves
+    # the residual (||y|| - r)^2.
+    y = np.array([10.0, 10.0])
+    radius = 1e-3
+    f_star, w_star = ridge_path_optimum(np.eye(2), y, radius)
+    assert f_star == pytest.approx((np.linalg.norm(y) - radius) ** 2, rel=1e-12)
+    assert f_star == pytest.approx(199.9717, abs=1e-4)
+    np.testing.assert_allclose(w_star, radius * y / np.linalg.norm(y), rtol=1e-9)
+
+
+def test_ridge_path_bracketing_gives_up_past_its_cap():
+    with pytest.raises(NumericFailure, match="ridge path bracketing failed"):
+        ridge_path_optimum(np.eye(2), np.array([10.0, 10.0]), 1e-20)
+
+
+def test_tune_gd_eta_raises_when_every_probe_diverges():
+    # With L = 1e-7 every probed step, 2.5e6 to 1.9e7, blows up the
+    # one-sample quadratic on a huge ball.
+    loss = QuadraticLoss(TabularDataset([[1.0]], [0.0]))
+    region = LpBall(p=2.0, r=1e30, d=1)
+    with pytest.raises(NumericFailure, match="every probed GD step size diverged"):
+        tune_gd_eta(loss, region, 1e-7, np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# values the loaders and generators refuse, and generator options
+
+
+def test_delimited_refuses_an_infinite_cell_naming_its_line(tmp_path):
+    path = _write(tmp_path, "a.csv", "1,2\n\n3,inf\n")
+    with pytest.raises(ValueError, match=f"non-finite value 'inf' at {path}:3"):
+        load_delimited(path, target_column=0)
+
+
+@pytest.mark.parametrize("gen, kind", [
+    (gen_classification, "regression"),
+    (gen_lowrank, "classification"),
+])
+def test_generators_refuse_a_spec_of_another_kind(gen, kind):
+    with pytest.raises(ValueError, match=f"{gen.__name__} got kind '{kind}'"):
+        gen(SyntheticSpec(kind=kind, seed=0))
+
+
+def test_lowrank_noise_gives_a_full_rank_matrix_observed_on_the_mask():
+    spec = SyntheticSpec(kind="lowrank", m=8, n=6, rank=2, fraction=0.5,
+                         noise=0.1, seed=9)
+    observed, full = gen_lowrank(spec)
+    assert np.linalg.matrix_rank(full) == 6
+    np.testing.assert_array_equal(observed.values[observed.mask],
+                                  full[observed.mask])

@@ -5,6 +5,7 @@ the sampled checks compare oracle answers against dense boundary scans.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -827,3 +828,26 @@ def test_oracle_continuity_doubled_constant_holds_sampled():
             / (alpha * (np.linalg.norm(p) + np.linalg.norm(q)))
         )
         assert lhs <= rhs + 1e-9
+
+
+@pytest.mark.parametrize("method", ["lmo", "project", "norm", "dual_norm"])
+def test_schatten_methods_refuse_the_transposed_shape(method):
+    ball = SchattenPBall(p=1.5, r=1.0, m=3, n=2)
+    with pytest.raises(ValueError, match=re.escape("expected shape (3, 2), got (2, 3)")):
+        getattr(ball, method)(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("region", [
+    LpBall(p=1.5, r=2.0, d=3),
+    SchattenPBall(p=3.0, r=2.0, m=3, n=2),
+    GroupLpqBall(p=2.0, q=1.5, r=2.0, m=2, n=3),
+], ids=["lp", "schatten", "group"])
+def test_random_boundary_from_an_all_zero_draw_is_the_first_axis(region):
+    class Zeros:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    x = region.random_boundary(Zeros())
+    want = np.zeros(region.shape)
+    want.flat[0] = region.r
+    np.testing.assert_array_equal(x, want)

@@ -5,6 +5,7 @@ aggregate is checked for exact full-batch recovery and Monte-Carlo
 unbiasedness.
 """
 
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -856,3 +857,14 @@ def test_estimated_smoothness_dominates_hessian_probes():
     for _ in range(20):
         hess = _fd_hessian(loss, region.random_feasible(rng))
         assert bound >= float(np.abs(np.linalg.eigvalsh(hess)).max()) * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("n, d, product", [(3, 6, "X X^T"), (6, 3, "X^T X")],
+                         ids=["wide", "tall"])
+def test_overflowing_smoothness_names_the_product_it_formed(n, d, product):
+    # Wide data (n < d) forms the n x n X X^T, tall data the d x d X^T X;
+    # neither size of loss holds a Gram matrix of its own.
+    data = _toy_tabular(n, d, 62)
+    loss = QuadraticLoss(TabularDataset(1e160 * data.features, data.targets))
+    with pytest.raises(NumericFailure, match=f"^{re.escape(product)} overflows"):
+        loss.smoothness()

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from projfree.errors import NumericFailure
 from projfree.numerics import (
     as_matrix,
     as_shaped,
@@ -235,3 +236,23 @@ def test_lambda_max_bound_rejects_non_finite_input():
     # an overflowing X^T X of their own as NumericFailure before this.
     with pytest.raises(ValueError, match="non-finite"):
         lambda_max_bound(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_lp_norm_of_an_empty_vector_is_zero():
+    for p in EXPONENTS:
+        assert lp_norm(np.array([]), p) == 0.0
+
+
+@pytest.mark.parametrize("solver, call, message", [
+    ("svd", lambda: svd(np.eye(3)), "svd failed: no convergence"),
+    ("eigvalsh", lambda: lambda_max_bound(np.eye(3)),
+     "eigenvalue solve failed: no convergence"),
+], ids=["svd", "lambda_max_bound"])
+def test_a_lapack_failure_is_a_numeric_failure(monkeypatch, solver, call, message):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericFailure, match=f"^{message}$") as err:
+        call()
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)

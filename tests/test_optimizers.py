@@ -5,6 +5,7 @@ recorded snapshots and verify the defining recurrences.
 """
 
 import math
+import re
 import sys
 import types
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projfree.errors import DivergenceError, NumericFailure
-from projfree.feasible_sets import LpBall, SchattenPBall
+from projfree.feasible_sets import GroupLpqBall, LpBall, SchattenPBall
 from projfree.losses import (
     BiWeightLoss,
     ObservedQuadraticLoss,
@@ -1063,3 +1064,66 @@ def test_tune_gd_eta_ties_go_to_the_largest_step(monkeypatch, first, second):
     assert problems.tune_gd_eta(None, None, 1.0, None) == 1.9
     losses[1.9] = 5.0 + 1e-6  # no longer a tie
     assert problems.tune_gd_eta(None, None, 1.0, None) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# argument checks of the public helpers and run entry points
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: step_size_predefined(0),
+                 "step schedule is defined for t >= 1, got 0", id="step-t"),
+    pytest.param(lambda: theta_schedule(0),
+                 "theta schedule is defined for t >= 1, got 0", id="theta-t"),
+    pytest.param(lambda: line_search_quadratic(-1.0, 1.0, 0.0),
+                 "smoothness must be > 0, got 0.0", id="quadratic-smoothness"),
+    pytest.param(lambda: line_search_quadratic(-1.0, -1.0, 1.0),
+                 "dist2 must be >= 0, got -1.0", id="quadratic-dist2"),
+    pytest.param(lambda: short_step(1.0, 1.0, 0.0),
+                 "smoothness must be > 0, got 0.0", id="short-smoothness"),
+    pytest.param(lambda: short_step(1.0, 0.0, 1.0),
+                 "alpha must be > 0, got 0.0", id="short-alpha"),
+    pytest.param(lambda: short_step(-1.0, 1.0, 1.0),
+                 "grad_dual_norm must be >= 0, got -1.0", id="short-dual-norm"),
+    pytest.param(lambda: exact_line_search(lambda g: g, lambda g: 1.0, tol=0.0),
+                 "tol must be > 0, got 0.0", id="exact-tol"),
+    pytest.param(lambda: spa_batch_size(0, 10),
+                 "batch schedule is defined for t >= 1, got 0", id="batch-t"),
+    pytest.param(lambda: spa_batch_size(1, 0),
+                 "n_samples must be >= 1, got 0", id="batch-n"),
+])
+def test_helpers_reject_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_sgd_rejects_a_nonpositive_initial_step():
+    loss, region, _ = _interior_problem()
+    with pytest.raises(ValueError, match="eta0 must be > 0, got 0.0"):
+        projected_sgd_run(loss, region, eta0=0.0, batch=1, iters=3)
+
+
+def test_fw_rejects_a_rule_without_a_step():
+    loss, region, _ = _interior_problem()
+    with pytest.raises(TypeError, match="unknown step rule: 'predefined'"):
+        fw_run(loss, region, "predefined", iters=3)
+
+
+def test_run_rejects_a_loss_of_another_shape():
+    loss, _, _ = _interior_problem()
+    with pytest.raises(ValueError, match=re.escape(
+            "loss expects parameters of shape (3,), region has (4,)")):
+        fw_run(loss, LpBall(2.0, 1.0, 4), PredefinedDecay(), iters=3)
+
+
+def test_a_set_refusing_a_finite_point_raises_its_own_error():
+    # Every array is finite, so the projection's ValueError is not a
+    # divergence: the run re-raises it unchanged.
+    observed, _ = gen_lowrank(
+        SyntheticSpec(kind="lowrank", m=4, n=3, seed=5, rank=1, fraction=0.5)
+    )
+    region = GroupLpqBall(p=1.5, q=2.0, r=1.0, m=4, n=3)
+    with pytest.raises(ValueError, match="needs inner exponent p = 2") as err:
+        projected_gd_run(ObservedQuadraticLoss(observed), region, eta=0.1,
+                         iters=3, init=np.zeros((4, 3)))
+    assert not isinstance(err.value, DivergenceError)
