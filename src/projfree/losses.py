@@ -6,8 +6,9 @@ value_and_gradient checks w with as_shaped and calls it, and evaluate and
 gradient return its parts.  A user loss may define value_and_gradient
 alone.  The run loop and _chord call the primitive on iterates built from
 checked arrays.  Two losses override gradient for runs that take no value:
-the quadratic (its O(d^2) Gram form) and the tilted loss, which reaches
-that Gram form through its base.  A tabular loss writes
+the quadratic (its O(d^2) Gram form on data with n >= 2d, whose d x d
+matrix it builds at its first full gradient) and the tilted loss, which
+reaches that Gram form through its base.  A tabular loss writes
 its per-sample value and slope once, in _terms(m, y).  The line search's
 _chord(w, v) makes one pass per distinct step size, with a memo of two
 floats per step size.  The stochastic form returns (N / |idx|) times the
@@ -161,8 +162,9 @@ class _TabularLoss(Loss):
     The Hessian is X^T diag(psi''(m_i, y_i)) X, so with _CURVATURE the
     supremum of |psi''| over margins and targets, smoothness() bounds its
     spectral norm by _CURVATURE * lambda_max(X^T X).  A subclass may hold
-    X^T X in _gram; else smoothness() forms the smaller of X^T X and X X^T,
-    which share their nonzero eigenvalues.
+    X^T X as the first entry of _gram_form; else smoothness() forms the
+    smaller of X^T X and X X^T, which share their nonzero eigenvalues, and
+    keeps neither.
     """
 
     _CURVATURE: float
@@ -177,7 +179,7 @@ class _TabularLoss(Loss):
         self._y = data.targets
         self.n_samples = data.n
         self.shape = (x.shape[1],)
-        self._gram = None
+        self._gram_form = None
 
     def _margins(self, w) -> np.ndarray:
         return self._x @ w
@@ -196,8 +198,9 @@ class _TabularLoss(Loss):
         return (self.n_samples / idx.size) * (xs.T @ coef)
 
     def smoothness(self) -> float:
-        if self._gram is not None or self._x.shape[0] >= self._x.shape[1]:
-            gram = _gram(self._x) if self._gram is None else self._gram
+        held = self._gram_form
+        if held is not None or self._x.shape[0] >= self._x.shape[1]:
+            gram = _gram(self._x) if held is None else held[0]
         else:
             try:
                 gram = _gram(self._x.T)
@@ -249,16 +252,20 @@ class QuadraticLoss(_TabularLoss):
     The Hessian is 2 X^T X of the held X, which smoothness() bounds.
 
     On tall data (_GRAM_RATIO * d <= n) the gradient is 2 (G w - b) with
-    G = X^T X and b = X^T y stored once: O(d^2) per call instead of a pass
-    over the n rows.  The value and the chord stay on the residual, which
-    keeps the digits f loses to cancellation in w^T G w - 2 b^T w + y^T y
-    near its minimum; a batch gradient comes from _terms.
+    G = X^T X and b = X^T y: O(d^2) per call instead of a pass over the n
+    rows.  The first full gradient builds the pair, which then lives as long
+    as the loss; until then the loss holds no d x d matrix, and a
+    smoothness() asked before it forms X^T X for itself and keeps nothing.
+    The value and the chord stay on the residual, which keeps the digits f
+    loses to cancellation in w^T G w - 2 b^T w + y^T y near its minimum; a
+    batch gradient comes from _terms.
     """
 
     _CURVATURE = 2.0
-    # Below this many rows per coordinate the d x d Gram matrix is not worth
-    # its memory next to the residual pass.
-    _GRAM_RATIO = 8
+    # At n >= 2d the product G w reads d^2 numbers, at most half of the n d
+    # that the residual's pullback X^T r reads, and G is at most half the
+    # size of X.
+    _GRAM_RATIO = 2
 
     def __init__(self, data: TabularDataset, bias: bool = False):
         # The intercept is profiled out, not appended as a feature.
@@ -267,12 +274,14 @@ class QuadraticLoss(_TabularLoss):
         if self.bias:
             self._x = self._x - self._x.mean(axis=0)
             self._y = self._y - np.mean(self._y)
-        if self._GRAM_RATIO * data.d <= data.n:
-            self._gram, self._xty = _gram(self._x), self._x.T @ self._y
 
     def _terms(self, m, y):
+        # Only the batch gradient calls this, and it drops the square, so
+        # a square that overflows to inf is no failure and raises no warning.
         r = m - y
-        return r * r, 2.0 * r
+        with np.errstate(over="ignore"):
+            square = r * r
+        return square, 2.0 * r
 
     def _residuals(self, w) -> np.ndarray:
         """x_i.w - y_i for a checked w, built in place."""
@@ -283,11 +292,18 @@ class QuadraticLoss(_TabularLoss):
     def _gradient(self, w, r=None) -> np.ndarray:
         """2 (G w - b) in the Gram form, else 2 X^T r with r the residual at
         the checked model w (computed when not given)."""
-        if self._gram is not None:
-            g = self._gram @ w
-            g -= self._xty
-        else:
-            g = self._x.T @ (self._residuals(w) if r is None else r)
+        held = self._gram_form
+        if held is None:
+            if self._GRAM_RATIO * self.shape[0] > self.n_samples:
+                g = self._x.T @ (self._residuals(w) if r is None else r)
+                g *= 2.0
+                return g
+            # Built locally and stored as one tuple: threads that race on
+            # the first gradient compute the same bits, and none of them
+            # sees half a pair.
+            held = self._gram_form = (_gram(self._x), self._x.T @ self._y)
+        g = held[0] @ w
+        g -= held[1]
         g *= 2.0
         return g
 
@@ -296,7 +312,8 @@ class QuadraticLoss(_TabularLoss):
         return self._gradient(as_shaped(w, self.shape))
 
     def _value_and_gradient(self, w):
-        # No buffer is kept on the loss: threads may share one instance.
+        # The one thing a call may store on the loss is the Gram pair above,
+        # as one tuple; no buffer is kept, so threads may share one instance.
         r = self._residuals(w)
         return float(np.vdot(r, r)), self._gradient(w, r)
 
@@ -368,7 +385,7 @@ class ObservedQuadraticLoss(Loss):
     """sum over observed entries (W_ij - M_ij)^2 for matrix completion.
 
     The observed entries' flat indices and values are snapshotted at
-    construction, as QuadraticLoss does G and b."""
+    construction."""
 
     def __init__(self, observed: ObservedMatrix):
         self.observed = observed

@@ -7,6 +7,7 @@ an independent regularization-path solve, not from any iterative run.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,13 @@ def ridge_path_optimum(x: np.ndarray, y: np.ndarray, radius: float):
         resid = x @ w0 - y
         return float(resid @ resid), w0
 
+    # w(mu) lies in the ball once mu >= ||b|| / r - min(lambda, 0), so the
+    # doubling below ends wherever ||b|| / r is finite.
+    if not (radius > 0.0 and math.isfinite(float(np.linalg.norm(b)) / radius)):
+        raise NumericFailure("ridge path bracketing failed")
     lo, hi = 0.0, max(1.0, float(evals.max()))
     while norm_of(hi) > radius:
         hi *= 2.0
-        if hi > 1e18:
-            raise NumericFailure("ridge path bracketing failed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if norm_of(mid) > radius:

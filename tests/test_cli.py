@@ -246,10 +246,26 @@ def test_run_overflowing_projected_step_exits_3(runner, tmp_path, kind):
     assert "non-finite pre-projection point at iteration 1" in result.stderr
 
 
+def test_run_sgd_with_overflowing_batch_squares_exits_3(runner, tmp_path):
+    # At the first iterate of a 1e160 ball the batch residuals' squares
+    # overflow; the batch gradient drops them with no warning, and the
+    # run stops on the infinite loss value.
+    cfg = _base_config(
+        dataset={"kind": "synthetic-regression", "n": 30, "d": 4, "seed": 1},
+        set={"kind": "lp", "p": 1.5, "r": 1e160},
+        optimizer={"kind": "sgd", "iters": 5, "eta0": 1e-3, "batch": 3},
+    )
+    path = _write_config(tmp_path, cfg)
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 3, result.output + str(result.exception)
+    assert "non-finite loss at iteration 1" in result.stderr
+
+
 @pytest.mark.parametrize("rule", ["predefined", "quadratic", "exact", "short"])
 def test_run_overflowing_gram_exits_3(runner, tmp_path, rule):
-    # X^T X of 1e160-scale features overflows where the quadratic loss
-    # stores it (40 rows, 3 features: the Gram form).
+    # X^T X of 1e160-scale features overflows (40 rows, 3 features: the
+    # Gram form): in smoothness() for the rules that read L, else at the
+    # first gradient, where the quadratic loss builds G.
     x = 1e160 * np.random.default_rng(61).standard_normal((40, 3))
     y = np.random.default_rng(62).standard_normal(40)
     csv = tmp_path / "big.csv"

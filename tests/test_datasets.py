@@ -392,9 +392,19 @@ def test_ridge_path_doubles_its_bracket_for_a_small_radius():
     np.testing.assert_allclose(w_star, radius * y / np.linalg.norm(y), rtol=1e-9)
 
 
-def test_ridge_path_bracketing_gives_up_past_its_cap():
+def test_ridge_path_keeps_doubling_at_a_tiny_radius():
+    # The multiplier reaches ||y|| / r = 1.4e21 before w(mu) enters the ball.
+    y = np.array([10.0, 10.0])
+    radius = 1e-20
+    f_star, w_star = ridge_path_optimum(np.eye(2), y, radius)
+    assert f_star == pytest.approx((np.linalg.norm(y) - radius) ** 2, rel=1e-12)
+    np.testing.assert_allclose(w_star, radius * y / np.linalg.norm(y), rtol=1e-9)
+
+
+def test_ridge_path_bracketing_gives_up_when_the_multiplier_overflows():
+    # ||y|| / r = 1.4e311 is not finite, so no finite bracket exists.
     with pytest.raises(NumericFailure, match="ridge path bracketing failed"):
-        ridge_path_optimum(np.eye(2), np.array([10.0, 10.0]), 1e-20)
+        ridge_path_optimum(np.eye(2), np.array([10.0, 10.0]), 1e-310)
 
 
 def test_tune_gd_eta_raises_when_every_probe_diverges():

@@ -12,9 +12,14 @@ that rounds differently changes them; print the current table, each run's
 last loss_f and fw_gap beside its hash, with
 `python tests/test_golden_traces.py` (MOVED marks a hash that differs from
 the table, NEW a run missing from it) and compare it against a known-good
-commit before replacing it.
+commit before replacing it.  `--write DIR` also writes each run's trace to
+DIR/<run>.csv; run so under a known-good checkout's package
+(`PYTHONPATH=<checkout>/src`), then `--reference DIR` under this one adds,
+for each run, the largest relative drift of loss_f and the largest absolute
+drift of fw_gap over all rows.
 """
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -43,7 +48,7 @@ from projfree.optimizers import (
     spa_run,
 )
 from projfree.perturbation import make_perturbed
-from projfree.trace import write_trace
+from projfree.trace import read_trace, write_trace
 
 ITERS = 30
 
@@ -202,37 +207,37 @@ def _digest(run, workdir: Path) -> str:
 
 
 GOLDEN = {
-    "fw-predefined": "ff4964c61b25800e80e9786481fefbb8ad07a869628df165062951fcde27bd64",
-    "fw-predefined-tilted": "a893950d7eecae170c3926a8ca9660485835dac88d0e0fd57a10de85920faf83",
-    "fw-quadratic": "02fd3a6f627b940b841355e088a20fa60d7f4c4b7b12cb9994b1fdf5bd33971e",
-    "fw-quadratic-tilted": "0f616be2e5cc0cc4e4b9cf7f7eaca8e8a3ee1df4280a05948c81098f72776826",
-    "fw-exact": "989faf38aeb7613684a4a45b07996b1cd8bf9895922e09c5eca2c0948102ba7c",
-    "fw-exact-tilted": "4fd1a6c764d9cf48361ab872b7ad4188dd7586f460a2d3bbcfa1af7ba3b6d043",
-    "fw-short": "e05ae76c4aa1f68723576a65dcbd1346f785dcc5b296b1c2f30d01718eef72ed",
-    "fw-short-tilted": "43b2a73ef3bab317eb77011c1407f6eb792e447e6d1f764d836659fe0162a6f0",
+    "fw-predefined": "2554d1201e0a8fd894d50e31f6602b894592c984bdfa1bbad1929c83da5ecbf0",
+    "fw-predefined-tilted": "704e671b88ba9ed6ac1157f600effab00c3555cab2edce7da632a638358892f7",
+    "fw-quadratic": "48aae84491e8a39ac903881fc0e2e4f334eecd6090fa8e3e9251c0419f0fff94",
+    "fw-quadratic-tilted": "a54bceba6c8dcfee26dc0a5c06815222012a59c0c532bd43919615168c5e699b",
+    "fw-exact": "150c1674649831ccfe00ab5dfd098296492d73accd76c7274fcdb08bdb0d39eb",
+    "fw-exact-tilted": "7e67de630a66da1636286140153841c511c1795bcaa1ae2bb2caa8157ca8f578",
+    "fw-short": "3723867d5cfeb9a6e92859785d251479bd2f30133567c139b6cc105d70619964",
+    "fw-short-tilted": "d5bbbddec16c774d3ae7680be4cdd160ab1e77ac6207cca73c228455acb4c2d1",
     "fw-schatten": "7620e887663704a78f684ee2130c74868e8fd4e643f0e7cd1f44490f8935ed91",
     "fw-group": "3b5771cc400b5689b05c5278a0c35884dee51f0368c5b32c8571d3cd4ca6bd17",
     "fw-group-p15": "8814be83d6a50683f29130d0670c206dbdfe7bbdc75ef76de67c9f9d555a8049",
-    "pa-A": "1b1a2e2ff814c8a220a11a08a3e7d686c0983b161a8c35936d1f09caf9285907",
-    "pa-A-tilted": "789a75ad10c319737c42dd87b7e0d0a56a2f1f9a6cb2533b529dc8e2ff92190f",
+    "pa-A": "77cf2ba0ad933b10cba38a385b12e30fc58802bde784ff996e949ac703169873",
+    "pa-A-tilted": "7252f4f38a2ba42bffdf72db6448634f5b51aee6c9694e6998d9cc5dd312becf",
     "pa-A-schatten": "65eddcfb96d6464c69e3bc5d8927a2954e7f353019adf287a2b2cd7bdf8de293",
-    "pa-B": "3aaacf5ba28d8a019f9be07e915f0b669fcec3cc4784e3f2a24dc67f72c54e61",
-    "pa-B-tilted": "27dbf36407172727ff8361cf207c9963b82b4f5b47e84b662117efa8ac40b6ba",
+    "pa-B": "e186b3f635feedb2ad61c22ccfa6b9ef1e331d6c4f37a6507d452a8e82029590",
+    "pa-B-tilted": "1930ef62ab2e591ce0ac4475b3144f4b2bd0d9d5850d0e4853ccaf28fee1135b",
     "pa-B-schatten": "c7b880f8be0273ab970562a7c8e071cd18a1b63a9bab8bb35224b30fad311f79",
-    "pa-b": "3aaacf5ba28d8a019f9be07e915f0b669fcec3cc4784e3f2a24dc67f72c54e61",
-    "pa-b-tilted": "27dbf36407172727ff8361cf207c9963b82b4f5b47e84b662117efa8ac40b6ba",
+    "pa-b": "e186b3f635feedb2ad61c22ccfa6b9ef1e331d6c4f37a6507d452a8e82029590",
+    "pa-b-tilted": "1930ef62ab2e591ce0ac4475b3144f4b2bd0d9d5850d0e4853ccaf28fee1135b",
     "pa-b-schatten": "c7b880f8be0273ab970562a7c8e071cd18a1b63a9bab8bb35224b30fad311f79",
-    "spa": "59950c3d3af1719d45df5b8ec41f59ad8d6e11f028c8f8be7760f7683bfbb09b",
-    "spa-default-rng": "82c288a2b37b188a79d3b605da745b5dc7a1ce4ce7d7311d69de374ce2ba73c9",
-    "spa-tilted": "fd9ae1ff89876636255bad67ac28926c0bc24d1ef2b5de1c734e1695c4b9bff9",
-    "gd": "3f951ebef052aa03ab48591c63091c7c835814b4e0c05c93b764fc018bd9061d",
-    "gd-bias": "9966c164a3cdfc32005ac5ba5e1945ef01a7996fb6980179ed5a17fa27ae0272",
-    "gd-tilted": "c8741188f9f5ade3a1a9c054b93a93d4cc2aa579ed50ddbf5d3d1d84b6d334f5",
-    "gd-p3": "e7830a38939987f78f1ba30b5a4aedf9c96b28ca7a6e4322b50ce56ab5d63678",
-    "sgd-sqrt": "71d1e7a36be27048f67dc81bf66880b00eebed73969fbeb7793f15d65d806847",
-    "sgd-constant": "24c49c791c5257c2fc6fff4b07c23defb659824ad0304af827f5897e87e4ae38",
-    "sgd-tilted": "15994255f51078c1e556d1292e7ffdc0711048ae18214757efb51ea1ca5c9c92",
-    "sgd-bias": "31a3672119cf721e2d53d7c92ff8668a7ea0a9e6a3d043963e7b75450c7d5140",
+    "spa": "ec60dcfe8802b93407b537ef7de3924991aa2abb735ef7d290e2015e9f3f6c4e",
+    "spa-default-rng": "6954c7d2ce9942b81f613702f25c506e95e914d7c7769d61fe3688be570f3cca",
+    "spa-tilted": "4ab9368a0a4b89f384bef83eac34f72522f10e7150ef0339b35a61b702074c85",
+    "gd": "3fb7056457ff07a09664522a072372c7031ae29a5f98c84276c4334cd2553e67",
+    "gd-bias": "daa4dd0d173986ff6c07a290c94378383120a41defac26f950b02565e870a35d",
+    "gd-tilted": "0528ec3158dddb4cc50197f02da1a7ce98d22a9b4837b1f51bf5becd775329b9",
+    "gd-p3": "549d61c8ed40c30f6e7ad4af9e6b686a0945746eb70594cf72fc03da715d22d7",
+    "sgd-sqrt": "89de49b2088b79d7a5e0e1641c8d9ce68bd28ac585bc85753d6575d502051f83",
+    "sgd-constant": "42f50e19fbdd09ddbd20e423c0097c096292566f006a51d483ee1e31fb61c17f",
+    "sgd-tilted": "910b236ae7c8e57653003a61cc6fce65f9cc50ce8f3041f0864c06648c793bbc",
+    "sgd-bias": "06e8bd8b4ebc2001c574f51034e06131d09884ee182415f6b9d56c47fc5572b3",
     "pa-B-logistic": "5dfa1b02bac988a6230d4e4b7dfe47c7fd7ccecfe5cd47f3af2678b8682fc6e8",
     "spa-logistic": "3afbd6333103f33f5dcda070f73b07379191dfd6a833a35264c9a03d448bb5d5",
     "fw-exact-biweight": "c4ad87eace2b0a2aa9b67a20e1cf8d9b457d1c22531253e6f11d2c0a90cfec81",
@@ -260,7 +265,26 @@ def test_timing_columns_per_method():
         assert all((v is None) != projected for v in trace.proj_ms), name
 
 
+def _drift(trace, reference):
+    """(largest relative drift of loss_f, largest absolute drift of fw_gap)
+    of trace from reference, row by row."""
+    if len(trace) != len(reference):
+        raise ValueError(f"{len(trace)} rows against {len(reference)}")
+    f, f_ref = np.array(trace.loss_f), np.array(reference.loss_f)
+    gap, gap_ref = np.array(trace.fw_gap), np.array(reference.fw_gap)
+    return (float(np.max(np.abs(f - f_ref) / np.abs(f_ref))),
+            float(np.max(np.abs(gap - gap_ref))))
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the golden hash table.")
+    parser.add_argument("--write", type=Path, metavar="DIR",
+                        help="also write each run's trace to DIR/<run>.csv")
+    parser.add_argument("--reference", type=Path, metavar="DIR",
+                        help="add each run's drift from DIR/<run>.csv")
+    args = parser.parse_args()
+    if args.write is not None:
+        args.write.mkdir(parents=True, exist_ok=True)
     # The last loss_f and fw_gap show how far a recaptured run moved; MOVED
     # marks a hash that differs from the table, NEW a run missing from it.
     with tempfile.TemporaryDirectory() as tmp:
@@ -269,5 +293,12 @@ if __name__ == "__main__":
             digest = _digest(run, Path(tmp))
             mark = ("" if GOLDEN.get(name) == digest
                     else " MOVED" if name in GOLDEN else " NEW")
-            sys.stdout.write(f'    "{name}": "{digest}",  '
-                             f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}{mark}\n")
+            line = (f'    "{name}": "{digest}",  '
+                    f"# {last.loss_f[-1]!r} {last.fw_gap[-1]!r}{mark}")
+            if args.write is not None:
+                write_trace(last, args.write / f"{name}.csv")
+            if args.reference is not None:
+                f_drift, gap_drift = _drift(
+                    last, read_trace(args.reference / f"{name}.csv"))
+                line += f" loss_f {f_drift:.1e} fw_gap {gap_drift:.1e}"
+            sys.stdout.write(line + "\n")

@@ -76,9 +76,13 @@ def _all_losses():
     yield BiWeightLoss(_toy_tabular(12, 3, 6))
     yield BiWeightLoss(_toy_tabular(12, 3, 7), bias=True)
     yield ObservedQuadraticLoss(_toy_observed(8))
-    # Tall enough (8 d <= n) for the Gram-form gradient.
+    # Tall enough (2 d <= n) for the Gram-form gradient, as are the 12 x 3
+    # quadratic losses above.
     yield QuadraticLoss(_toy_tabular(40, 3, 40))
     yield QuadraticLoss(_toy_tabular(40, 3, 41), bias=True)
+    # Between d and 2d rows: the residual form, with L from X^T X.
+    yield QuadraticLoss(_toy_tabular(5, 3, 44))
+    yield QuadraticLoss(_toy_tabular(5, 3, 45), bias=True)
     # Wide (n < d): smoothness() reads the n x n Gram matrix X X^T.
     yield QuadraticLoss(_toy_tabular(5, 9, 42))
     yield LogisticLoss(_toy_tabular(5, 9, 43, labels="pm1"), bias=True)
@@ -375,22 +379,52 @@ def test_chord_memo_keeps_no_per_sample_arrays():
     assert kept <= 500 * 400  # a few hundred bytes per probe, whatever n is
 
 
-def test_residual_value_and_gradient_allocates_one_vector_of_each_length():
-    # The residual form keeps one n-vector and one d-vector alive and no
-    # buffer on the loss, which threads may share.
-    n, d = 2000, 1000
-    loss = QuadraticLoss(_toy_tabular(n, d, 23))
-    assert loss._gram is None
-    w = np.random.default_rng(24).standard_normal(d)
+def _value_and_gradient_peak(loss, w):
+    """Traced peak of one value_and_gradient call after a first one."""
     loss.value_and_gradient(w)  # first-call set-up stays out of the peak
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         loss.value_and_gradient(w)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_residual_value_and_gradient_allocates_one_vector_of_each_length():
+    # The residual form (n < 2d) keeps one n-vector and one d-vector alive
+    # and no buffer on the loss, which threads may share.
+    n, d = 1500, 1000
+    loss = QuadraticLoss(_toy_tabular(n, d, 23))
+    peak = _value_and_gradient_peak(loss, np.random.default_rng(24).standard_normal(d))
+    assert loss._gram_form is None
     assert peak <= 8 * (n + d) + 1024
+
+
+def test_gram_value_and_gradient_allocates_the_residual_and_two_d_vectors():
+    # Once the first gradient has built G and b, a call allocates the
+    # residual for the value and the d-vector G w, and stores nothing.
+    n, d = 2000, 1000
+    loss = QuadraticLoss(_toy_tabular(n, d, 25))
+    peak = _value_and_gradient_peak(loss, np.random.default_rng(26).standard_normal(d))
+    assert loss._gram_form is not None
+    assert peak <= 8 * (n + 2 * d) + 1024
+
+
+def test_smoothness_keeps_no_d_by_d_matrix():
+    # A tall loss asked only for L forms X^T X, reads it and drops it: the
+    # Gram form is built at the first full gradient, not before.
+    n, d = 2000, 1000
+    loss = QuadraticLoss(_toy_tabular(n, d, 27))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.smoothness()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss._gram_form is None
+    assert kept < 8 * d * d // 10
 
 
 def _sigmoid_masked(z):
@@ -421,18 +455,20 @@ def _residual_gradient(data, w, bias):
 
 
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("n", [39, 40, 400])
+@pytest.mark.parametrize("n", [9, 10, 15, 39, 40, 400])
 def test_gram_gradient_matches_residual_pullback(n, bias):
-    # d = 5: n = 39 keeps the residual form, 40 and 400 take the Gram form.
+    # d = 5: n = 9 keeps the residual form; n / d = 2, 3, 7.8, 8 and 80 take
+    # the Gram form, which the first gradient builds.
     data = _toy_tabular(n, 5, 50 + n)
     loss = QuadraticLoss(data, bias=bias)
-    assert (loss._gram is not None) == (8 * 5 <= n)
+    assert loss._gram_form is None
     rng = np.random.default_rng(51)
     for _ in range(20):
         w = 2.0 * rng.standard_normal(5)
         want = _residual_gradient(data, w, bias)
         got = loss.gradient(w)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert (loss._gram_form is not None) == (2 * 5 <= n)
 
 
 @pytest.mark.parametrize("bias", [False, True])
@@ -461,9 +497,9 @@ def _offset_tabular(n, d, seed):
     return TabularDataset(x, x @ rng.standard_normal(d) + 3.0 + rng.standard_normal(n))
 
 
-@pytest.mark.parametrize("n", [30, 400])
+@pytest.mark.parametrize("n", [8, 30, 400])
 def test_quadratic_bias_smoothness_is_the_centred_hessian(n):
-    # d = 5: n = 30 keeps the residual form, 400 takes the Gram form.  The
+    # d = 5: n = 8 keeps the residual form, 30 and 400 take the Gram form.  The
     # uncentred X^T X would give an L about 1e4 times too large here.
     data = _offset_tabular(n, 5, 54)
     loss = QuadraticLoss(data, bias=True)
@@ -520,15 +556,40 @@ def test_quadratic_bias_matches_the_profiled_intercept(n):
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_overflowing_gram_is_a_numeric_failure(n):
-    # d = 3: n = 40 builds G = X^T X with the quadratic loss, n = 20 forms
-    # it only in smoothness().  Either way no warning escapes (RuntimeWarning
-    # is an error under this suite).
+    # d = 3: smoothness() forms X^T X itself, as no gradient has built G.
+    # No warning escapes (RuntimeWarning is an error under this suite).
     x = 1e160 * np.random.default_rng(60).standard_normal((n, 3))
     data = TabularDataset(x, np.ones(n))
     with pytest.raises(NumericFailure, match="X\\^T X overflows"):
         QuadraticLoss(data).smoothness()
     with pytest.raises(NumericFailure, match="X\\^T X overflows"):
         LogisticLoss(data).smoothness()
+
+
+@pytest.mark.parametrize("call", ["gradient", "value_and_gradient"])
+def test_overflowing_gram_fails_at_the_first_gradient(call):
+    # A tall loss builds G = X^T X at its first full gradient, so features
+    # whose X^T X overflows are refused there, with no warning.
+    x = 1e160 * np.random.default_rng(60).standard_normal((40, 3))
+    loss = QuadraticLoss(TabularDataset(x, np.ones(40)))
+    with pytest.raises(NumericFailure, match="X\\^T X overflows"):
+        getattr(loss, call)(np.zeros(3))
+    assert loss._gram_form is None
+
+
+def test_quadratic_batch_gradient_overflow_raises_no_warning():
+    # The batch path drops the per-sample squares, so one that overflows
+    # is no failure; the slope 2 r stays finite.
+    data = _toy_tabular(6, 3, 63)
+    loss = QuadraticLoss(data)
+    w = np.full(3, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = loss.stochastic_gradient(w, [0, 1, 2])
+    x, y = data.features[:3], data.targets[:3]
+    want = 2.0 * (6 / 3) * (x.T @ (x @ w - y))
+    assert np.all(np.isfinite(g))
+    np.testing.assert_allclose(g, want, rtol=1e-12)
 
 
 def test_losses_are_nonnegative():
@@ -786,14 +847,16 @@ def test_squared_sigmoid_curvature_constants():
 
 
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("n", [39, 400])
+@pytest.mark.parametrize("n", [9, 39, 400])
 def test_quadratic_smoothness_forms_the_gram_matrix_once(monkeypatch, n, bias):
-    # d = 5: n = 39 forms X^T X for smoothness() alone; at n = 400 the Gram
-    # form holds it from construction and smoothness() reuses it.
+    # d = 5: at n = 9 the gradient works on the residual and smoothness()
+    # forms X^T X alone; at n = 39 and 400 the first gradient builds the
+    # Gram form and smoothness() reuses it.
     calls = []
     gram = losses._gram
     monkeypatch.setattr(losses, "_gram", lambda x: calls.append(x) or gram(x))
     loss = QuadraticLoss(_toy_tabular(n, 5, 56), bias=bias)
+    loss.gradient(np.ones(5))
     value = loss.smoothness()
     assert len(calls) == 1
     assert value == 2.0 * lambda_max_bound(gram(loss._x))

@@ -7,6 +7,7 @@ recorded snapshots and verify the defining recurrences.
 import math
 import re
 import sys
+import threading
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -869,18 +870,20 @@ def test_observed_loss_overflow_stops_the_run_without_a_warning(p, r, method):
             runs[method]()
 
 
-@pytest.mark.parametrize("method", ["pa", "fw"])
+@pytest.mark.parametrize("method", ["pa", "fw", "sgd"])
 @pytest.mark.parametrize("r", [1e160, 1e200])
-@pytest.mark.parametrize("n", [12, 40])
+@pytest.mark.parametrize("n", [7, 12, 40])
 def test_quadratic_loss_overflow_stops_the_run_without_a_warning(n, r, method):
-    # d = 4: n = 12 works on the residual, n = 40 holds the Gram form.  Near
+    # d = 4: n = 7 works on the residual, 12 and 40 hold the Gram form.  Near
     # these radii the squared residuals overflow: the loss value is inf, and
-    # the run stops on it with no RuntimeWarning on the way.
+    # the run stops on it with no RuntimeWarning on the way, also when SGD's
+    # batch gradient squares them first.
     data, _ = gen_regression(SyntheticSpec(kind="regression", n=n, d=4, seed=5))
     loss = QuadraticLoss(data)
     region = LpBall(p=1.5, r=r, d=4)
     runs = {"pa": lambda: pa_run(loss, region, "A", 10),
-            "fw": lambda: fw_run(loss, region, PredefinedDecay(), 10)}
+            "fw": lambda: fw_run(loss, region, PredefinedDecay(), 10),
+            "sgd": lambda: projected_sgd_run(loss, region, 1e-3, 3, 10)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericFailure, match="non-finite loss at iteration 1"):
@@ -963,12 +966,31 @@ def test_runs_are_deterministic():
     assert c.records_equal(d)
 
 
+def _thread_traces(run, threads=4):
+    """Traces of `threads` concurrent run() calls, started together on a
+    short switch interval."""
+    start = threading.Barrier(threads)
+
+    def started():
+        start.wait(timeout=60)
+        return run()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            return [f.result(timeout=120) for f in
+                    [pool.submit(started) for _ in range(threads)]]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_threads_sharing_one_wide_loss_match_a_serial_run():
     # The suite's thread pool shares cached problems, so a loss may keep no
     # per-call buffer: numpy releases the interpreter lock inside matmul.
-    data, _ = gen_regression(SyntheticSpec(kind="regression", n=400, d=100, seed=9))
+    # n < 2d keeps the residual form.
+    data, _ = gen_regression(SyntheticSpec(kind="regression", n=150, d=100, seed=9))
     loss = QuadraticLoss(data)
-    assert loss._gram is None
     region = LpBall(p=1.5, r=1.0, d=100)
 
     def run():
@@ -976,15 +998,28 @@ def test_threads_sharing_one_wide_loss_match_a_serial_run():
                       rng=np.random.default_rng(10))
 
     serial = run()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            traces = [f.result(timeout=120) for f in
-                      [pool.submit(run) for _ in range(4)]]
-    finally:
-        sys.setswitchinterval(interval)
+    traces = _thread_traces(run)
+    assert loss._gram_form is None
     assert all(trace.records_equal(serial) for trace in traces)
+
+
+def test_threads_that_first_touch_one_tall_loss_match_a_serial_run():
+    # Four threads race on the first gradient of a fresh loss, so each may
+    # build the Gram pair; each sees either none or a whole one, and every
+    # build has the same bits.
+    data, _ = gen_regression(SyntheticSpec(kind="regression", n=400, d=100, seed=9))
+    region = LpBall(p=1.5, r=1.0, d=100)
+
+    def run_on(loss):
+        return lambda: fw_run(loss, region, PredefinedDecay(), iters=150,
+                              rng=np.random.default_rng(10))
+
+    serial = run_on(QuadraticLoss(data))()
+    for _ in range(3):
+        fresh = QuadraticLoss(data)
+        traces = _thread_traces(run_on(fresh))
+        assert fresh._gram_form is not None
+        assert all(trace.records_equal(serial) for trace in traces)
 
 
 def test_timings_toggle():
