@@ -15,4 +15,4 @@ try:
 except (AttributeError, OSError, TypeError):  # not glibc: nothing to pin
     pass
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

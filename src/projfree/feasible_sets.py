@@ -3,19 +3,19 @@
 Each norm nests l_p norms over levels, (exponent, dimension) pairs listed
 innermost first: (p, d) for an l_p ball, (p, min(m, n)) on the singular
 values of a Schatten ball, (p, n) within rows then (q, m) across them for a
-group ball.  From the levels the base _NormBall derives the argument checks,
-repr, norm and dual norm, Euclidean diameter and strong-convexity modulus.
-A family states how to evaluate its nested norm, its closed-form linear
-minimization oracle (lmo) and its Euclidean projection (closed form at
-p = 1, 2, inf, else Newton on the KKT multiplier).  Oracles are
-deterministic on ties and zeros.  Each argument gets one NaN/inf check, by
-numerics.as_shaped or, where a Schatten method takes an SVD, by
-numerics.svd.  The oracles are built on one dual-norm witness,
-_max_unit_vector, taken on a vector, on singular values or on rows, and
-group row norms are numerics.lp_norms.  The Schatten oracle for
+group ball.  The three families share one base, _NormBall.  From the levels
+it derives the argument checks, repr, norm and dual norm, Euclidean diameter
+and strong-convexity modulus, and from the norm membership and random
+boundary and feasible points.  A family states how to evaluate its nested
+norm, its closed-form linear minimization oracle (lmo) and its Euclidean
+projection (closed form at p = 1, 2, inf, else Newton on the KKT
+multiplier).  Oracles are deterministic on ties and zeros.  Each argument
+gets one NaN/inf check, by numerics.as_shaped or, where a Schatten method
+takes an SVD, by numerics.svd.  The oracles are built on one dual-norm
+witness, _max_unit_vector, taken on a vector, on singular values or on rows,
+and group row norms are numerics.lp_norms.  The Schatten oracle for
 1 < p <= 2 instead takes numerics.eigh of the Gram matrix of the smaller
-side, which for q >= 2 gives the answer without dividing by a singular
-value.
+side, which for q >= 2 gives the answer without dividing by a singular value.
 """
 
 import math
@@ -167,61 +167,15 @@ def _project_lp_vector(x: np.ndarray, p: float, r: float) -> np.ndarray:
     return _project_lp_kkt(x, p, r)
 
 
-class FeasibleSet:
-    """Common surface for the norm-ball families."""
-
-    r: float
-    shape: tuple
-
-    def norm(self, x) -> float:
-        raise NotImplementedError
-
-    def dual_norm(self, c) -> float:
-        raise NotImplementedError
-
-    def lmo(self, c) -> np.ndarray:
-        """argmin_{v in set} <v, c>, deterministic on ties."""
-        raise NotImplementedError
-
-    def project(self, x) -> np.ndarray:
-        """Euclidean-nearest feasible point; feasible inputs pass through."""
-        raise NotImplementedError
-
-    def _first_vertex(self) -> np.ndarray:
-        """The lmo's deterministic answer for c = 0: r at the first entry."""
-        v = np.zeros(self.shape)
-        v.flat[0] = self.r
-        return v
-
-    def strong_convexity(self) -> float:
-        raise NotImplementedError
-
-    def euclidean_diameter(self) -> float:
-        raise NotImplementedError
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.norm(x) <= self.r * (1.0 + tol)
-
-    def random_boundary(self, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal(self.shape)
-        n = self.norm(g)
-        if n == 0.0:
-            g.flat[0] = 1.0
-            n = self.norm(g)
-        return g * (self.r / n)
-
-    def random_feasible(self, rng: np.random.Generator) -> np.ndarray:
-        size = int(np.prod(self.shape))
-        t = rng.uniform() ** (1.0 / size)
-        return self.random_boundary(rng) * t
-
-
-class _NormBall(FeasibleSet):
+class _NormBall:
     """{x : ||x|| <= r} for a norm that nests l_p norms over levels.
 
     A family passes its exponents, r and its dimensions under the names its
     constructor gives them, sets `_levels` and defines `_nested_norm(x,
-    exponents)`, its norm with the levels' exponents replaced."""
+    exponents)`, its norm with the levels' exponents replaced.  It also
+    defines lmo(c), argmin_{v in set} <v, c>, deterministic on ties, and
+    project(x), the Euclidean-nearest feasible point, through which
+    feasible inputs pass."""
 
     def __init__(self, exponents: dict, r: float, dims: dict):
         name = type(self).__name__
@@ -265,6 +219,28 @@ class _NormBall(FeasibleSet):
         if not all(1.0 < p <= 2.0 for p in exponents):
             raise ValueError(f"{self!r}: strong convexity needs exponents in (1, 2]")
         return min(p - 1.0 for p in exponents) / self.r
+
+    def _first_vertex(self) -> np.ndarray:
+        """The lmo's deterministic answer for c = 0: r at the first entry."""
+        v = np.zeros(self.shape)
+        v.flat[0] = self.r
+        return v
+
+    def contains(self, x, tol: float = 1e-9) -> bool:
+        return self.norm(x) <= self.r * (1.0 + tol)
+
+    def random_boundary(self, rng: np.random.Generator) -> np.ndarray:
+        g = rng.standard_normal(self.shape)
+        n = self.norm(g)
+        if n == 0.0:
+            g.flat[0] = 1.0
+            n = self.norm(g)
+        return g * (self.r / n)
+
+    def random_feasible(self, rng: np.random.Generator) -> np.ndarray:
+        size = int(np.prod(self.shape))
+        t = rng.uniform() ** (1.0 / size)
+        return self.random_boundary(rng) * t
 
 
 class LpBall(_NormBall):

@@ -32,12 +32,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _gram(x) -> np.ndarray:
-    """x^T x; NumericFailure, with no warning, when it overflows."""
+def _gram(x, name: str = "X^T X") -> np.ndarray:
+    """x^T x; NumericFailure naming the product, with no warning, when it
+    overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = x.T @ x
     if not np.isfinite(g).all():
-        raise NumericFailure("X^T X overflows: the features are too large")
+        raise NumericFailure(f"{name} overflows: the features are too large")
     return g
 
 
@@ -202,11 +203,7 @@ class _TabularLoss(Loss):
         if held is not None or self._x.shape[0] >= self._x.shape[1]:
             gram = _gram(self._x) if held is None else held[0]
         else:
-            try:
-                gram = _gram(self._x.T)
-            except NumericFailure:  # _gram names X^T X; this product is X X^T
-                raise NumericFailure(
-                    "X X^T overflows: the features are too large") from None
+            gram = _gram(self._x.T, "X X^T")
         return self._CURVATURE * lambda_max_bound(gram)
 
     def _chord(self, w, v):

@@ -20,7 +20,17 @@ from .losses import (
     QuadraticLoss,
     SquaredSigmoidLoss,
 )
+from .numerics import lp_norm
 from .optimizers import projected_gd_run
+
+# Below this, the squares np.linalg.norm sums underflow; lp_norm scales first.
+_PLAIN_NORM_FLOOR = 1e-155
+
+
+def _l2_norm(v: np.ndarray) -> float:
+    """||v||_2: np.linalg.norm's bits down to _PLAIN_NORM_FLOOR, lp_norm below."""
+    norm = float(np.linalg.norm(v))
+    return norm if norm >= _PLAIN_NORM_FLOOR else lp_norm(v, 2.0)
 
 
 def ridge_path_optimum(x: np.ndarray, y: np.ndarray, radius: float):
@@ -38,7 +48,7 @@ def ridge_path_optimum(x: np.ndarray, y: np.ndarray, radius: float):
         return evecs @ (b / (evals + mu))
 
     def norm_of(mu: float) -> float:
-        return float(np.linalg.norm(b / (evals + mu)))
+        return _l2_norm(b / (evals + mu))
 
     w0 = w_of(0.0) if evals.min() > 1e-10 else None
     if w0 is not None and float(np.linalg.norm(w0)) <= radius:
@@ -61,7 +71,7 @@ def ridge_path_optimum(x: np.ndarray, y: np.ndarray, radius: float):
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     w_star = w_of(0.5 * (lo + hi))
-    w_star = w_star * (radius / float(np.linalg.norm(w_star)))
+    w_star = w_star * (radius / _l2_norm(w_star))
     resid = x @ w_star - y
     return float(resid @ resid), w_star
 

@@ -22,6 +22,7 @@ import numpy as np
 from .diagnostics import (
     detect_convergence,
     loglog_slope,
+    nonconvex_gap_constant,
     nonconvex_rate_bound,
 )
 from .feasible_sets import GroupLpqBall, LpBall, SchattenPBall
@@ -207,8 +208,15 @@ def check_nonconvex_gap():
         m / nonconvex_rate_bound(ell_1, prob.alpha, _DELTA, prob.smoothness, prob.d, t)
         for t, m in zip(main.t, mins)
     )
+    # The bound reads min-gap t / ell_1 <= 1 / min(1/2, C'); report both sides.
+    measured = max(m * t / ell_1 for t, m in zip(main.t, mins))
+    allowed = 1.0 / min(0.5, nonconvex_gap_constant(
+        prob.alpha, _DELTA, prob.smoothness, prob.d))
     passed = fit.slope <= -0.9 and worst <= 1.0
-    return passed, f"min-gap slope {fit.slope:.3f}, worst bound ratio {worst:.3e}"
+    return passed, (
+        f"min-gap slope {fit.slope:.3f}, worst bound ratio {worst:.3e}, "
+        f"max min-gap t / ell_1 {measured:.4g} vs 1/min(1/2, C') {allowed:.4g}"
+    )
 
 
 # ---------------------------------------------------------------------------

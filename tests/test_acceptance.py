@@ -36,6 +36,16 @@ def test_c03_nonconvex_min_gap_decays_within_bound(capsys):
     _run(3, capsys)
 
 
+def test_c03_reports_both_sides_of_its_bound():
+    # The worst bound ratio is the measured constant over the allowed one.
+    measured = CRITERIA[3]().measured
+    worst, got, allowed = (float(v) for v in re.findall(
+        r"worst bound ratio (\S+), max min-gap t / ell_1 (\S+) "
+        r"vs 1/min\(1/2, C'\) (\S+)$", measured)[0])
+    assert 0.0 < got <= allowed
+    assert worst == pytest.approx(got / allowed, rel=1e-3)
+
+
 def test_c04_quasi_convex_run_enters_neighborhood(capsys):
     _run(4, capsys)
 

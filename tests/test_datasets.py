@@ -15,7 +15,9 @@ from projfree.datasets import (
 )
 from projfree.errors import NumericFailure
 from projfree.feasible_sets import LpBall
+from projfree import problems
 from projfree.losses import ObservedQuadraticLoss, QuadraticLoss, TabularDataset
+from projfree.numerics import lp_norm
 from projfree.perturbation import sample_unit_sphere
 from projfree.problems import ridge_path_optimum, tune_gd_eta
 
@@ -405,6 +407,41 @@ def test_ridge_path_bracketing_gives_up_when_the_multiplier_overflows():
     # ||y|| / r = 1.4e311 is not finite, so no finite bracket exists.
     with pytest.raises(NumericFailure, match="ridge path bracketing failed"):
         ridge_path_optimum(np.eye(2), np.array([10.0, 10.0]), 1e-310)
+
+
+_RIDGE_X = np.array([[1.0, 0.5], [0.0, 2.0]])
+_RIDGE_Y = np.array([10.0, 10.0])
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e-200, 1e-300])
+def test_ridge_path_lands_on_a_tiny_boundary_in_the_exact_direction(radius):
+    # Here mu ~ ||X^T y|| / r dwarfs X^T X, so w* = r X^T y / ||X^T y|| to
+    # rounding, while the squares of ||w(mu)||_2 underflow.
+    _, w_star = ridge_path_optimum(_RIDGE_X, _RIDGE_Y, radius)
+    direction = _RIDGE_X.T @ _RIDGE_Y / np.linalg.norm(_RIDGE_X.T @ _RIDGE_Y)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(w_star / radius - direction)) <= eps
+    assert abs(lp_norm(w_star, 2.0) / radius - 1.0) <= eps
+
+
+@pytest.mark.parametrize("radius", [1e3, 1.0, 1e-3, 1e-100, 1e-154])
+def test_ridge_path_takes_the_plain_norm_down_to_1e_minus_154(radius, monkeypatch):
+    # The max-scaled norm is never called, so the answer keeps the bits of
+    # np.linalg.norm throughout.
+    rng = np.random.default_rng(3)
+    gaussian = rng.standard_normal((50, 6)), rng.standard_normal(50)
+
+    def unused(v, p):
+        raise AssertionError("max-scaled norm called")
+
+    monkeypatch.setattr(problems, "lp_norm", unused)
+    for x, y in ((_RIDGE_X, _RIDGE_Y), gaussian):
+        ridge_path_optimum(x, y, radius)
+
+
+def test_ridge_path_refuses_a_radius_below_the_multiplier_range():
+    with pytest.raises(NumericFailure, match="ridge path bracketing failed"):
+        ridge_path_optimum(_RIDGE_X, _RIDGE_Y, 1e-320)
 
 
 def test_tune_gd_eta_raises_when_every_probe_diverges():

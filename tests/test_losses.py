@@ -566,6 +566,14 @@ def test_overflowing_gram_is_a_numeric_failure(n):
         LogisticLoss(data).smoothness()
 
 
+@pytest.mark.parametrize("kind", [QuadraticLoss, LogisticLoss])
+def test_overflowing_wide_gram_names_x_x_transpose(kind):
+    # n = 3 < d = 20: smoothness() forms X X^T, and the failure names it.
+    x = 1e160 * np.random.default_rng(61).standard_normal((3, 20))
+    with pytest.raises(NumericFailure, match="^X X\\^T overflows"):
+        kind(TabularDataset(x, np.ones(3))).smoothness()
+
+
 @pytest.mark.parametrize("call", ["gradient", "value_and_gradient"])
 def test_overflowing_gram_fails_at_the_first_gradient(call):
     # A tall loss builds G = X^T X at its first full gradient, so features
@@ -872,7 +880,7 @@ def test_wide_data_smoothness_forms_only_the_small_gram_matrix(monkeypatch, kind
     shapes = []
     gram = losses._gram
     monkeypatch.setattr(losses, "_gram",
-                        lambda x: shapes.append(x.shape) or gram(x))
+                        lambda x, name: shapes.append(x.shape) or gram(x, name))
     tracemalloc.start()
     try:
         value = loss.smoothness()

@@ -562,6 +562,37 @@ def test_sgd_iterates_stay_feasible():
 
 
 # ---------------------------------------------------------------------------
+# the set interface the run loop reads
+
+
+def test_a_set_that_subclasses_nothing_runs_every_method():
+    # The run loops read only shape, lmo, contains, project and dual_norm
+    # (ShortStep's); an object with just those, delegated to an l_2 ball,
+    # gives the ball's records bit for bit.
+    spec = SyntheticSpec(kind="regression", n=20, d=4, noise=0.1, seed=3, w_norm=2.0)
+    loss = QuadraticLoss(gen_regression(spec)[0])
+    ball = LpBall(2.0, 0.5, 4)
+    custom = types.SimpleNamespace(
+        shape=ball.shape, lmo=ball.lmo, contains=ball.contains,
+        project=ball.project, dual_norm=ball.dual_norm,
+    )
+    short = ShortStep(smoothness=loss.smoothness(), alpha=ball.strong_convexity())
+    runs = {
+        "fw/predefined": lambda s, rng: fw_run(loss, s, PredefinedDecay(), 15, rng=rng),
+        "fw/short": lambda s, rng: fw_run(loss, s, short, 15, rng=rng),
+        "pa": lambda s, rng: pa_run(loss, s, iters=15, rng=rng),
+        "spa": lambda s, rng: spa_run(loss, s, iters=15, rng=rng),
+        "gd": lambda s, rng: projected_gd_run(loss, s, 0.01, 15, rng=rng),
+        "sgd": lambda s, rng: projected_sgd_run(loss, s, 0.01, 5, 15, rng=rng),
+    }
+    for name, run in runs.items():
+        want = run(ball, np.random.default_rng(4))
+        got = run(custom, np.random.default_rng(4))
+        assert len(got) == 15, name
+        assert got.records_equal(want), name
+
+
+# ---------------------------------------------------------------------------
 # guards and validation
 
 
