@@ -6,16 +6,18 @@ values of a Schatten ball, (p, n) within rows then (q, m) across them for a
 group ball.  The three families share one base, _NormBall.  From the levels
 it derives the argument checks, repr, norm and dual norm, Euclidean diameter
 and strong-convexity modulus, and from the norm membership and random
-boundary and feasible points.  A family states how to evaluate its nested
-norm, its closed-form linear minimization oracle (lmo) and its Euclidean
-projection (closed form at p = 1, 2, inf, else Newton on the KKT
-multiplier).  Oracles are deterministic on ties and zeros.  Each argument
-gets one NaN/inf check, by numerics.as_shaped or, where a Schatten method
-takes an SVD, by numerics.svd.  The oracles are built on one dual-norm
-witness, _max_unit_vector, taken on a vector, on singular values or on rows,
-and group row norms are numerics.lp_norms.  The Schatten oracle for
-1 < p <= 2 instead takes numerics.eigh of the Gram matrix of the smaller
-side, which for q >= 2 gives the answer without dividing by a singular value.
+boundary and feasible points.  A family states its nested norm, its
+Euclidean projection (closed form at p = 1, 2, inf, else Newton on the KKT
+multiplier) and the vertex of its linear minimization oracle (lmo) on a cost
+a with max|a| in [1/2, 1).  The base's lmo, the one oracle entry, scales the
+cost there by an exact power of two, so every oracle is scale-invariant bit
+for bit, and answers c = 0 with r at the first entry; the l_2 oracle's closed
+form comes first while ||c||^2 is a normal float.  Each argument gets one
+NaN/inf check, by numerics.as_shaped; numerics.svd checks only on failure.
+The vertices are built on one dual-norm witness, _max_unit_vector, taken on a
+vector, on singular values or on rows.  The Schatten vertex for 1 < p <= 2
+instead takes numerics.eigh of the Gram matrix of the smaller side, which
+for q >= 2 gives the answer without dividing by a singular value.
 """
 
 import math
@@ -51,6 +53,8 @@ def _max_unit_vector(c: np.ndarray, p: float) -> tuple:
 
     u attains <u, c> = ||c||_q with q the conjugate exponent.  Zero rows
     give zero rows, and ties on the p = 1 branch resolve to the lowest index.
+    A row whose dual norm is subnormal is scaled by 2^1022 first.  After the
+    lmo's scaling only a group row whose own entries are tiny gets there.
     """
     a = np.abs(c)
     q = _conjugate(p)
@@ -173,9 +177,9 @@ class _NormBall:
     A family passes its exponents, r and its dimensions under the names its
     constructor gives them, sets `_levels` and defines `_nested_norm(x,
     exponents)`, its norm with the levels' exponents replaced.  It also
-    defines lmo(c), argmin_{v in set} <v, c>, deterministic on ties, and
-    project(x), the Euclidean-nearest feasible point, through which
-    feasible inputs pass."""
+    defines `_vertex(a)`, the lmo on a checked cost a with max|a| in
+    [1/2, 1), deterministic on ties, and project(x), the Euclidean-nearest
+    feasible point, through which feasible inputs pass."""
 
     def __init__(self, exponents: dict, r: float, dims: dict):
         name = type(self).__name__
@@ -220,8 +224,18 @@ class _NormBall:
             raise ValueError(f"{self!r}: strong convexity needs exponents in (1, 2]")
         return min(p - 1.0 for p in exponents) / self.r
 
+    def lmo(self, c) -> np.ndarray:
+        """argmin_{v in set} <v, c>: r at the first entry for c = 0, else
+        the family's _vertex of c scaled exactly into [1/2, 1)."""
+        return self._scaled_lmo(as_shaped(c, self.shape))
+
+    def _scaled_lmo(self, c: np.ndarray) -> np.ndarray:
+        top = float(np.abs(c).max())
+        if top == 0.0:
+            return self._first_vertex()
+        return self._vertex(np.ldexp(c, -math.frexp(top)[1]))
+
     def _first_vertex(self) -> np.ndarray:
-        """The lmo's deterministic answer for c = 0: r at the first entry."""
         v = np.zeros(self.shape)
         v.flat[0] = self.r
         return v
@@ -256,15 +270,17 @@ class LpBall(_NormBall):
     def lmo(self, c) -> np.ndarray:
         c = as_shaped(c, self.shape)
         if self.p == 2.0:
-            # Closed form while ||c||^2 is a normal float; zero, subnormal
-            # and overflowing squares take the rescaled path.  vdot, unlike
+            # The closed form while ||c||^2 is a normal float; vdot, unlike
             # matmul, overflows to inf without a warning.
             s = float(np.vdot(c, c))
             if _TINY < s < math.inf:
                 return -self.r * (c / math.sqrt(s))
-        if not c.any():
-            return self._first_vertex()
-        return -self.r * _max_unit_vector(c, self.p)[0]
+        return self._scaled_lmo(c)
+
+    def _vertex(self, a: np.ndarray) -> np.ndarray:
+        if self.p == 2.0:
+            return -self.r * (a / math.sqrt(float(np.vdot(a, a))))
+        return -self.r * _max_unit_vector(a, self.p)[0]
 
     def project(self, x) -> np.ndarray:
         return _project_lp_vector(as_shaped(x, self.shape), self.p, self.r)
@@ -277,43 +293,28 @@ class SchattenPBall(_NormBall):
         super().__init__({"p": p}, r, {"m": m, "n": n})
         self._levels = ((self.p, min(self.m, self.n)),)
 
-    def _svd(self, x) -> tuple:
-        """x as a float64 array of the set's shape, and its SVD.  Only svd
-        checks x for NaN and inf, so each call makes one pass over it."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {x.shape}")
-        return x, svd(x)
-
     def _nested_norm(self, x, exponents) -> float:
-        return lp_norm(self._svd(x)[1].s, exponents[0])
+        return lp_norm(svd(as_shaped(x, self.shape)).s, exponents[0])
 
-    def lmo(self, c) -> np.ndarray:
+    def _vertex(self, a: np.ndarray) -> np.ndarray:
         if 1.0 < self.p <= 2.0:
-            return self._gram_lmo(as_shaped(c, self.shape))
-        c, dec = self._svd(c)
-        if 0.0 < dec.s[0] < _TINY:  # a subnormal spectrum keeps a few bits
-            dec = svd(np.ldexp(c, 1022))
-        if not dec.s.any():  # zero input or numerically zero spectrum
-            return self._first_vertex()
+            return self._gram_vertex(a)
+        dec = svd(a)
         w = _max_unit_vector(dec.s, self.p)[0]
         return -self.r * (dec.u * w) @ dec.v.T
 
-    def _gram_lmo(self, c: np.ndarray) -> np.ndarray:
-        """The lmo for 1 < p <= 2, from the Gram matrix of the smaller side.
+    def _gram_vertex(self, a: np.ndarray) -> np.ndarray:
+        """The vertex for 1 < p <= 2, from the Gram matrix of the smaller side.
 
-        With a = c (or c^T, whichever has fewer columns) times the power of
-        two that puts max|a| in [1/2, 1), and a^T a = V diag(s^2) V^T,
+        With a the cost the base scaled into [1/2, 1), transposed here if it
+        has more columns than rows, and a^T a = V diag(s^2) V^T,
             v = -r a V diag(t^(q-2)) V^T / ||s||_q,  t = s / ||s||_q,
         whose singular values are r t^(q-1): ||v||_p = r and <v, c> =
         -r ||c||_q.  As q >= 2, no singular value is divided by, so the
         small ones that squaring blurs enter with weights t^(q-2) <= 1.
         """
-        top = float(np.abs(c).max())
-        if top == 0.0:
-            return self._first_vertex()
         wide = self.m < self.n
-        a = np.ldexp(c.T if wide else c, -math.frexp(top)[1])
+        a = a.T if wide else a
         lam, vecs = eigh(a.T @ a)
         s = np.sqrt(np.maximum(lam, 0.0))  # rounding can leave lam < 0
         q = _conjugate(self.p)
@@ -323,7 +324,8 @@ class SchattenPBall(_NormBall):
         return v.T if wide else v
 
     def project(self, x) -> np.ndarray:
-        x, dec = self._svd(x)
+        x = as_shaped(x, self.shape)
+        dec = svd(x)
         s = _project_lp_vector(dec.s, self.p, self.r)
         if s is dec.s:  # feasible inputs pass through
             return x
@@ -347,14 +349,8 @@ class GroupLpqBall(_NormBall):
         inner, outer = exponents
         return lp_norm(lp_norms(np.abs(as_shaped(x, self.shape)), inner), outer)
 
-    def lmo(self, c) -> np.ndarray:
-        c = as_shaped(c, self.shape)
-        top = np.abs(c).max()
-        if top == 0.0:
-            return self._first_vertex()
-        if top < _TINY:  # subnormal rows keep a few bits; rescale c exactly
-            c = np.ldexp(c, 1022)
-        inner, row_dual = _max_unit_vector(c, self.p)
+    def _vertex(self, a: np.ndarray) -> np.ndarray:
+        inner, row_dual = _max_unit_vector(a, self.p)
         outer, _ = _max_unit_vector(row_dual, self.q)
         return -self.r * inner * outer[:, None]
 

@@ -89,12 +89,16 @@ class SvdResult:
 def svd(a) -> SvdResult:
     """Thin SVD by LAPACK: a = u @ diag(s) @ v.T, s sorted descending.
 
-    The factors are orthonormal for zero and rank-deficient inputs too.
+    The factors are orthonormal for zero and rank-deficient inputs too.  a
+    is checked only when LAPACK raises or the spectrum is not finite (numpy's
+    SVD of inf gives NaN): NaN or inf raise ValueError, else NumericFailure.
     """
-    a = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
+        if not np.isfinite(s).all():
+            raise np.linalg.LinAlgError("non-finite singular values")
     except np.linalg.LinAlgError as exc:
+        as_matrix(a)
         raise NumericFailure(f"svd failed: {exc}") from exc
     return SvdResult(u=u, s=s, v=vt.T)
 

@@ -36,9 +36,11 @@ def _l2_norm(v: np.ndarray) -> float:
 def ridge_path_optimum(x: np.ndarray, y: np.ndarray, radius: float):
     """Exact minimizer of ||X w - y||^2 over the l2 ball of the given radius.
 
-    Solved through the eigendecomposition of X^T X: the norm of
-    w(mu) = (X^T X + mu I)^{-1} X^T y decreases monotonically in mu, so a
-    scalar bisection pins the boundary multiplier.  Returns (f_star, w_star).
+    Solved through the eigendecomposition of X^T X.  The least-norm
+    least-squares solution is the answer if it lies in the ball.  Otherwise
+    the norm of w(mu) = (X^T X + mu I)^{-1} X^T y decreases monotonically in
+    mu, so a scalar bisection pins the boundary multiplier.  Returns
+    (f_star, w_star).
     """
     gram = x.T @ x
     evals, evecs = np.linalg.eigh(gram)
@@ -50,8 +52,11 @@ def ridge_path_optimum(x: np.ndarray, y: np.ndarray, radius: float):
     def norm_of(mu: float) -> float:
         return _l2_norm(b / (evals + mu))
 
-    w0 = w_of(0.0) if evals.min() > 1e-10 else None
-    if w0 is not None and float(np.linalg.norm(w0)) <= radius:
+    # The least-norm least-squares solution, over the eigenvalues above a
+    # cutoff relative to the largest; w_of(0.0) when every one passes.
+    cutoff = evals.size * np.finfo(float).eps * evals.max()
+    w0 = evecs @ np.divide(b, evals, out=np.zeros_like(b), where=evals > cutoff)
+    if float(np.linalg.norm(w0)) <= radius:
         resid = x @ w0 - y
         return float(resid @ resid), w0
 

@@ -1,5 +1,7 @@
 """Loaders (delimited, sparse pairs, rating triples) and seeded generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,38 @@ def test_ridge_path_bracketing_gives_up_when_the_multiplier_overflows():
     # ||y|| / r = 1.4e311 is not finite, so no finite bracket exists.
     with pytest.raises(NumericFailure, match="ridge path bracketing failed"):
         ridge_path_optimum(np.eye(2), np.array([10.0, 10.0]), 1e-310)
+
+
+def _collinear_ridge():
+    # X = [x, x] and y = 2x: X^T X has a zero eigenvalue (to rounding), and
+    # w = (1, 1) fits y exactly.
+    x = np.random.default_rng(1).standard_normal(30)
+    return np.column_stack([x, x]), 2.0 * x
+
+
+def _tiny_ridge():
+    # Every eigenvalue of X^T X is about 5e-11, below an absolute 1e-10
+    # floor, and y = X (0.6, 0, 0.8) is fitted exactly.
+    x = 1e-6 * np.random.default_rng(2).standard_normal((50, 3))
+    return x, x @ np.array([0.6, 0.0, 0.8])
+
+
+@pytest.mark.parametrize("make", [_collinear_ridge, _tiny_ridge], ids=["collinear", "tiny"])
+def test_ridge_path_finds_an_interior_optimum_of_a_near_singular_gram(make):
+    x, y = make()
+    f_star, w_star = ridge_path_optimum(x, y, 10.0)
+    assert float(np.linalg.norm(w_star)) < 10.0
+    assert f_star <= 1e-20
+
+
+def test_ridge_path_keeps_the_flagship_optimum_bit_for_bit():
+    # Frozen with numpy 2.4 on OpenBLAS 0.3 (x86-64).  Every eigenvalue of
+    # the flagship's X^T X passes the cutoff, and its optimum is on the
+    # boundary, so the bisection alone sets these bits.
+    prob = problems.lsq_boundary_problem()
+    assert prob.f_star.hex() == "0x1.45eb684589ba4p+4"
+    digest = hashlib.sha256(prob.w_star.tobytes()).hexdigest()
+    assert digest == "0f80c0d503bcf6d2bed14865aafb5bd0ccd284d42d149a2a7d8b8ff612e46a61"
 
 
 _RIDGE_X = np.array([[1.0, 0.5], [0.0, 2.0]])

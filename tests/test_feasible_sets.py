@@ -403,20 +403,47 @@ def test_schatten_gram_lmo_is_exact_on_ill_conditioned_costs(p, shape, scale):
 
 
 def test_schatten_svd_lmo_rescales_a_subnormal_spectrum(monkeypatch):
-    # p = 3 takes the SVD path; at 1e-310 the spectrum keeps a few bits
-    # unless the cost is first scaled by 2^1022, which is exact.
+    # p = 3 takes the SVD path; at 1e-310 the spectrum would keep a few
+    # bits, so the one SVD is of the cost scaled exactly into [1/2, 1).
     from projfree import feasible_sets
 
     r = 2.5
     c = 1e-310 * np.random.default_rng(65).standard_normal((4, 3))
     calls = []
     svd = feasible_sets.svd
-    monkeypatch.setattr(feasible_sets, "svd", lambda a: calls.append(1) or svd(a))
+    monkeypatch.setattr(feasible_sets, "svd", lambda a: calls.append(a) or svd(a))
     v = SchattenPBall(3.0, r, 4, 3).lmo(c)
-    assert len(calls) == 2  # the subnormal spectrum's SVD, then the rescaled one
-    scaled = np.ldexp(c, 1022)
+    scaled = np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1])
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], scaled)
     dual = lp_norm(np.linalg.svd(scaled, compute_uv=False), _conjugate(3.0))
     assert float(np.vdot(v, scaled)) == pytest.approx(-r * dual, rel=1e-12)
+
+
+_SCALE_SETS = [
+    *(LpBall(p, 1.5, 7) for p in (1.0, 1.5, 2.0, 3.0, math.inf)),
+    *(SchattenPBall(p, 1.5, 5, 4) for p in (1.0, 1.5, 3.0, math.inf)),
+    *(GroupLpqBall(p, q, 1.5, 5, 4) for p, q in ((2.0, 1.5), (1.5, 1.75), (3.0, 50.0))),
+]
+
+
+@pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("ball", _SCALE_SETS, ids=repr)
+def test_every_oracle_is_bitwise_scale_invariant(ball, magnitude):
+    # lmo(lambda c) = lmo(c) for lambda > 0; for lambda = 2^k, with 2^k c
+    # exact and normal, the oracle's answers agree bit for bit.
+    rng = np.random.default_rng(66)
+    for _ in range(4):
+        c = magnitude * rng.standard_normal(ball.shape)
+        v = ball.lmo(c)
+        for k in (1, -1, 100, -100, 600, -600, 900, -900):
+            scaled = np.ldexp(c, k)
+            top, low = np.abs(scaled).max(), np.abs(scaled).min()
+            if not (low >= np.finfo(float).tiny and top < np.inf):
+                continue
+            if not np.array_equal(np.ldexp(scaled, -k), c):
+                continue
+            np.testing.assert_array_equal(ball.lmo(scaled), v, err_msg=f"k = {k}")
 
 
 def test_schatten_gram_lmo_maps_an_eigh_failure_to_numeric_failure(monkeypatch):

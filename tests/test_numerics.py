@@ -156,6 +156,16 @@ def test_svd_reconstruction_8x5_seed7():
     assert np.abs(rec - a).max() <= 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svd_rejects_a_non_finite_entry(bad):
+    # numpy's SVD of a matrix holding inf returns NaN singular values
+    # without raising; svd's check on that failure raises instead.
+    a = np.random.default_rng(8).standard_normal((4, 3))
+    a[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        svd(a)
+
+
 @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (6, 6), (1, 4), (4, 1)])
 def test_svd_factors_are_orthonormal(shape):
     a = np.random.default_rng(11).standard_normal(shape)

@@ -837,17 +837,19 @@ def test_an_infinite_vertex_stops_the_run_at_its_iteration(loss_cls, method):
         runs[method]()
 
 
-def test_schatten_arguments_are_checked_once(monkeypatch):
+@pytest.mark.parametrize("p", [1.5, 3.0, 1.0])
+def test_schatten_arguments_are_checked_once(monkeypatch, p):
     # Each array of the set's shape that reaches a loss or set method is
     # checked for NaN and inf once: the PA step's gradient call and its
     # oracle call, and the record's oracle call, plus init and the final
     # point.  A Schatten method that ran as_shaped before numerics.svd's
-    # own check made five passes per iteration.
+    # own check made five passes per iteration.  p = 1.5 takes the Gram
+    # oracle, p = 3 and p = 1 the SVD.
     observed, _ = gen_lowrank(
         SyntheticSpec(kind="lowrank", m=6, n=5, seed=47, rank=2, fraction=0.5)
     )
     loss = ObservedQuadraticLoss(observed)
-    region = SchattenPBall(p=1.5, r=3.0, m=6, n=5)
+    region = SchattenPBall(p=p, r=3.0, m=6, n=5)
     passes = [0]
 
     def isfinite(a, _fn=np.isfinite):

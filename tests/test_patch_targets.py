@@ -47,6 +47,7 @@ _VECTOR = np.array([0.3, -1.2, 0.0, 2.5])
 _KERNEL_CALLS = [  # (call, its numerics.svd and numerics.lp_norm calls)
     ("schatten.lmo", lambda: _SCHATTEN.lmo(_MATRIX), (0, 0)),
     ("schatten-p3.lmo", lambda: _SCHATTEN_P3.lmo(_MATRIX), (1, 0)),
+    ("schatten-p3.lmo-subnormal", lambda: _SCHATTEN_P3.lmo(1e-310 * _MATRIX), (1, 0)),
     ("schatten.project-outside", lambda: _SCHATTEN.project(_MATRIX), (1, 1)),
     ("schatten.project-inside", lambda: _SCHATTEN.project(_MATRIX / 100.0), (1, 1)),
     ("schatten.norm", lambda: _SCHATTEN.norm(_MATRIX), (1, 1)),
