@@ -11,9 +11,8 @@ Euclidean projection (closed form at p = 1, 2, inf, else Newton on the KKT
 multiplier) and the vertex of its linear minimization oracle (lmo) on a cost
 a with max|a| in [1/2, 1).  The base's lmo, the one oracle entry, scales the
 cost there by an exact power of two, so every oracle is scale-invariant bit
-for bit, and answers c = 0 with r at the first entry; the l_2 oracle's closed
-form comes first while ||c||^2 is a normal float.  Each argument gets one
-NaN/inf check, by numerics.as_shaped; numerics.svd checks only on failure.
+for bit, and answers c = 0 with r at the first entry.  Each argument gets
+one NaN/inf check, by numerics.as_shaped; numerics.svd checks only on failure.
 The vertices are built on one dual-norm witness, _max_unit_vector, taken on a
 vector, on singular values or on rows.  The Schatten vertex for 1 < p <= 2
 instead takes numerics.eigh of the Gram matrix of the smaller side, which
@@ -227,9 +226,7 @@ class _NormBall:
     def lmo(self, c) -> np.ndarray:
         """argmin_{v in set} <v, c>: r at the first entry for c = 0, else
         the family's _vertex of c scaled exactly into [1/2, 1)."""
-        return self._scaled_lmo(as_shaped(c, self.shape))
-
-    def _scaled_lmo(self, c: np.ndarray) -> np.ndarray:
+        c = as_shaped(c, self.shape)
         top = float(np.abs(c).max())
         if top == 0.0:
             return self._first_vertex()
@@ -266,16 +263,6 @@ class LpBall(_NormBall):
 
     def _nested_norm(self, x, exponents) -> float:
         return lp_norm(as_shaped(x, self.shape), exponents[0])
-
-    def lmo(self, c) -> np.ndarray:
-        c = as_shaped(c, self.shape)
-        if self.p == 2.0:
-            # The closed form while ||c||^2 is a normal float; vdot, unlike
-            # matmul, overflows to inf without a warning.
-            s = float(np.vdot(c, c))
-            if _TINY < s < math.inf:
-                return -self.r * (c / math.sqrt(s))
-        return self._scaled_lmo(c)
 
     def _vertex(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2.0:

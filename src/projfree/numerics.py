@@ -90,9 +90,13 @@ def svd(a) -> SvdResult:
     """Thin SVD by LAPACK: a = u @ diag(s) @ v.T, s sorted descending.
 
     The factors are orthonormal for zero and rank-deficient inputs too.  a
-    is checked only when LAPACK raises or the spectrum is not finite (numpy's
-    SVD of inf gives NaN): NaN or inf raise ValueError, else NumericFailure.
+    is taken as a 2-D float64 array up front, but its entries are checked
+    only when LAPACK raises or the spectrum is not finite (numpy's SVD of inf
+    gives NaN): NaN or inf raise ValueError, else NumericFailure.
     """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         if not np.isfinite(s).all():

@@ -446,6 +446,17 @@ def test_every_oracle_is_bitwise_scale_invariant(ball, magnitude):
             np.testing.assert_array_equal(ball.lmo(scaled), v, err_msg=f"k = {k}")
 
 
+def test_the_l2_oracle_is_scale_invariant_where_squares_are_subnormal():
+    # At 1e-154, ||c||^2 is a normal float while the squares of the smaller
+    # entries are subnormal and lose bits; at 2^60 c they are normal.  The
+    # oracle squares only the cost scaled into [1/2, 1), so both agree.
+    ball = LpBall(2.0, 1.5, 7)
+    rng = np.random.default_rng(67)
+    for _ in range(50):
+        c = 1e-154 * rng.standard_normal(7)
+        np.testing.assert_array_equal(ball.lmo(np.ldexp(c, 60)), ball.lmo(c))
+
+
 def test_schatten_gram_lmo_maps_an_eigh_failure_to_numeric_failure(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -166,6 +166,18 @@ def test_svd_rejects_a_non_finite_entry(bad):
         svd(a)
 
 
+@pytest.mark.parametrize("shape", [(2, 4, 3), (4,)])
+def test_svd_rejects_a_finite_array_that_is_not_a_matrix(shape):
+    # numpy would take a 3-D array as a stack of matrices.
+    with pytest.raises(ValueError, match="2-D"):
+        svd(np.ones(shape))
+
+
+def test_svd_takes_its_input_as_float64():
+    d = svd(np.diag([3.0, 1.0]).astype(np.float32))
+    assert d.u.dtype == d.s.dtype == d.v.dtype == np.float64
+
+
 @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (6, 6), (1, 4), (4, 1)])
 def test_svd_factors_are_orthonormal(shape):
     a = np.random.default_rng(11).standard_normal(shape)
