@@ -4,30 +4,26 @@ All five run functions share one loop, `_drive`: it checks the iteration
 count and the starting point, times each update, records the diagnostics,
 applies the guards and calls the observer.  A method supplies only
 
-    update(t, w, at_w, rng, timed)
-        -> (snapshot, direction, batch, oracle_ms, proj_ms, reused_ms)
+    update(t, w, rng, meter) -> (snapshot, direction, batch)
 
 which computes iterate t from w = w_{t-1} as a fresh array (observers may
 keep it) and returns its `IterateSnapshot`, the search direction whose norm
-is recorded, the batch size (None for a full gradient), the time of its
-oracle call or projection (None when not `timed` or not made) and the times
-of what it reused from `at_w`.  Past w_0, one call of the base loss's
-`_value_and_gradient` gives the record its value and the gap its gradient; a
-tilted loss's `_tilt` adds the tilt to both.  FW and GD reuse that gradient
-from `at_w`, untilted FW its oracle vertex too.  Other gradients come from
-`loss.gradient`, the Gram form for the quadratic loss, tilted or not.
+is recorded and the batch size (None for a full gradient).  It reaches a
+full gradient, the oracle and the projection only through the run's
+`_Meter`, whose one reuse rule serves FW and GD: a gradient at the recorded
+w is the record's (the base loss's `_value_and_gradient`, plus any tilt),
+an oracle call at the untilted gradient is the record's vertex, and the
+step is charged their times.
 
 Inputs are checked at the boundary: `init`, and every argument of a public
 loss or set method (`numerics.as_shaped` raises ValueError on NaN or inf).
 In the loop each new array is checked once, by the `lmo` or `project` that
-takes it; only when that raises ValueError does `_checked` test the gradient
-(and a projected step's w - eta g) and turn a non-finite one into
-DivergenceError.  A custom set's `lmo` and `project` must reject a
-non-finite argument with ValueError, as the built-in sets do.  The record
-and the exact rule call the unchecked `_value_and_gradient`, on iterates
-that are convex combinations or projections of checked arrays; if a custom
-set answers with NaN or inf, the recorded gap is not finite and the run
-raises DivergenceError at that iteration.
+takes it, which must reject a non-finite one with ValueError as the
+built-in sets do; only then does the meter test the gradient (and a
+projected step's w - eta g), raising DivergenceError if it is not finite.
+The record and the exact rule call the unchecked `_value_and_gradient` on
+convex combinations or projections of checked arrays, so a custom set that
+answers NaN or inf stops the run on a non-finite gap at that iteration.
 
 Conventions shared by every run function:
 
@@ -38,9 +34,7 @@ Conventions shared by every run function:
   iterate for diagnostics, outside the timed step; only `init` and the
   final point are checked for feasibility.
 * timings are only collected (and serialized) when record_timings is set; a
-  default run is bit-deterministic given its seed.  `step_ms` and
-  `oracle_ms` include the value-and-gradient and oracle call the update
-  reused.
+  default run is bit-deterministic given its seed.
 """
 
 import math
@@ -135,7 +129,7 @@ def line_search_quadratic(directional: float, dist2: float, smoothness: float) -
     L * dist2 underflows to 0 the step is 1, the clamped minimizer of the
     model as its curvature goes to 0.
     """
-    if smoothness <= 0.0:
+    if not smoothness > 0.0:
         raise ValueError(f"smoothness must be > 0, got {smoothness}")
     if dist2 < 0.0:
         raise ValueError(f"dist2 must be >= 0, got {dist2}")
@@ -147,9 +141,9 @@ def line_search_quadratic(directional: float, dist2: float, smoothness: float) -
 
 def short_step(grad_dual_norm: float, alpha: float, smoothness: float) -> float:
     """gamma = 1 when L < alpha * ||g||_* / 4, else alpha * ||g||_* / (4 L)."""
-    if smoothness <= 0.0:
+    if not smoothness > 0.0:
         raise ValueError(f"smoothness must be > 0, got {smoothness}")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if grad_dual_norm < 0.0:
         raise ValueError(f"grad_dual_norm must be >= 0, got {grad_dual_norm}")
@@ -171,7 +165,7 @@ def exact_line_search(phi, dphi, tol: float = 1e-8) -> float:
     and 1 has the smallest phi, so the result never increases phi relative
     to gamma = 0; for unimodal phi it is within tol of the true minimizer.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
 
     def value(gamma):  # a phi that is not a number never wins
@@ -228,38 +222,68 @@ class IterateSnapshot:
     gamma: float
 
 
-def _timed(enabled: bool, fn, *args):
-    """(fn(*args), its wall time in ms, or None when timing is off)."""
-    if not enabled:
-        return fn(*args), None
-    start = time.perf_counter()
-    out = fn(*args)
-    return out, (time.perf_counter() - start) * 1e3
-
-
 def _guard_finite(a: np.ndarray, t: int, what: str) -> None:
     if not np.isfinite(a).all():
         raise DivergenceError(f"non-finite {what} at iteration {t}", t)
 
 
-def _checked(timed, fn, t, *named):
-    """_timed(timed, fn, x) for the last (x, what) pair of `named`, fn an
-    oracle or a projection that rejects a non-finite x with ValueError.
-    Only then are the arrays of `named` checked, in order: the first that is
-    not finite raises DivergenceError instead."""
-    try:
-        return _timed(timed, fn, named[-1][0])
-    except ValueError:
-        for a, what in named:
-            _guard_finite(a, t, what)
-        raise
+class _Meter:
+    """A run's one way to a full gradient, the oracle and the projection."""
 
+    def __init__(self, loss, region, timed: bool):
+        # Bound when the run starts: callers may wrap the instances' methods.
+        self._gradient = loss.gradient
+        self._lmo = region.lmo
+        self._project = region.project
+        self.timed = timed
+        self.t = 0
+        self.held = (None,) * 6  # the record's w, g_loss, g, vertex, g_ms, v_ms
+        self.reused, self.oracle_ms, self.proj_ms = [], None, None
 
-def _loss_gradient(loss, w, at_w):
-    """(gradient of `loss` at w, times of what it reused from at_w)."""
-    if at_w is None:
-        return loss.gradient(w), ()
-    return at_w[0], (at_w[2],)
+    def time(self, fn, *args):
+        """(fn(*args), its wall time in ms, or None when timing is off)."""
+        start = time.perf_counter() if self.timed else None
+        out = fn(*args)
+        return out, None if start is None else (time.perf_counter() - start) * 1e3
+
+    def checked(self, fn, *arrays):
+        """self.time(fn, arrays[-1]); the arrays are tested if fn raises."""
+        try:
+            return self.time(fn, arrays[-1])
+        except ValueError:
+            for a, what in zip(arrays, ("gradient", "pre-projection point")):
+                _guard_finite(a, self.t, what)
+            raise
+
+    def gradient(self, w):
+        if w is self.held[0]:
+            self.reused.append(self.held[4])
+            return self.held[1]
+        return self._gradient(w)
+
+    def lmo(self, g):
+        if g is self.held[2]:
+            self.reused.append(self.held[5])
+            self.oracle_ms = self.held[5]
+            return self.held[3]
+        v, self.oracle_ms = self.checked(self._lmo, g)
+        return v
+
+    def project(self, y, g):
+        w, self.proj_ms = self.checked(self._project, g, y)
+        return w
+
+    def hold(self, w, g_loss, g, g_ms):
+        v, v_ms = self.checked(self._lmo, g)
+        self.held = (w, g_loss, g, v, g_ms, v_ms)
+        return v
+
+    def row(self, step_ms):
+        """The step's (step_ms, oracle_ms, proj_ms); clears its charges."""
+        row = (None if step_ms is None else step_ms + sum(self.reused),
+               self.oracle_ms, self.proj_ms)
+        self.reused, self.oracle_ms, self.proj_ms = [], None, None
+        return row
 
 
 def default_init(region, rng: np.random.Generator) -> np.ndarray:
@@ -292,14 +316,13 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
             f"loss expects parameters of shape {loss.shape}, region has {region.shape}"
         )
     base = loss.base if isinstance(loss, PerturbedLoss) else loss
+    meter = _Meter(loss, region, record_timings)
     trace = Trace()
-    at_w = None  # (gradient at w, its oracle vertex or None if tilted, times in ms)
     for t in range(1, iters + 1):
-        (snap, direction, batch, oracle_ms, proj_ms, reused_ms), step_ms = _timed(
-            record_timings, update, t, w, at_w, rng, record_timings
-        )
+        meter.t = t
+        (snap, direction, batch), step_ms = meter.time(update, t, w, rng, meter)
         w = snap.w
-        (f_val, g), g_ms = _timed(record_timings, base._value_and_gradient, w)
+        (f_val, g), g_ms = meter.time(base._value_and_gradient, w)
         if not math.isfinite(f_val):
             raise NumericFailure(f"non-finite loss at iteration {t}")
         h_val, g_loss = (None, g) if loss is base else loss._tilt(w, f_val, g)
@@ -307,16 +330,13 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
         direction_norm = math.sqrt(float(np.vdot(direction, direction)))
         if not math.isfinite(direction_norm):
             raise DivergenceError(f"non-finite direction norm at iteration {t}", t)
-        v, v_ms = _checked(record_timings, region.lmo, t, (g, "gradient"))
-        at_w = (g_loss, v if loss is base else None, g_ms, v_ms)
+        v = meter.hold(w, g_loss, g, g_ms)
         gap = float(np.vdot(w - v, g))
         if not math.isfinite(gap):  # a non-finite iterate or vertex
             raise DivergenceError(f"non-finite gap at iteration {t}", t)
-        trace.append(
-            t, f_val, h_val, gap, snap.gamma, batch, direction_norm,
-            step_ms=None if step_ms is None else step_ms + sum(reused_ms),
-            oracle_ms=oracle_ms, proj_ms=proj_ms,
-        )
+        step_ms, oracle_ms, proj_ms = meter.row(step_ms)
+        trace.append(t, f_val, h_val, gap, snap.gamma, batch, direction_norm,
+                     step_ms, oracle_ms, proj_ms)
         if f_val > DIVERGENCE_GUARD:
             raise DivergenceError(
                 f"loss exceeded divergence guard ({f_val:.3e}) at iteration {t}", t
@@ -329,40 +349,35 @@ def _drive(loss, region, iters, init, rng, record_timings, on_iterate, update):
     return trace
 
 
-def _averaging_update(region, gradient_at):
-    """Primal-averaging update; gradient_at(t, z, rng) supplies the search
-    direction p_t (averaged, instantaneous, or stochastic) and the batch size."""
+def _averaging_update(gradient_at):
+    """Primal-averaging update; gradient_at(t, z, rng, meter) supplies the
+    direction p_t (averaged, instantaneous or stochastic) and batch size."""
     v_prev = None  # v_0 is w_0
 
-    def update(t, w, at_w, rng, timed):
+    def update(t, w, rng, meter):
         nonlocal v_prev
         gamma = step_size_predefined(t)
         z = (1.0 - gamma) * w + gamma * (w if v_prev is None else v_prev)
-        p, batch = gradient_at(t, z, rng)
-        v, oracle_ms = _checked(timed, region.lmo, t, (p, "gradient"))
+        p, batch = gradient_at(t, z, rng, meter)
+        v = meter.lmo(p)
         w = (1.0 - gamma) * w + gamma * v
         v_prev = v
-        snap = IterateSnapshot(t=t, w=w, v=v, z=z, p=p, gamma=gamma)
-        return snap, p, batch, oracle_ms, None, ()
+        return IterateSnapshot(t=t, w=w, v=v, z=z, p=p, gamma=gamma), p, batch
 
     return update
 
 
-def _projected_update(region, gradient_at, eta_at):
-    """Projected-gradient update; gradient_at(t, w, at_w, rng) supplies the
-    gradient, the times it reused from at_w and the batch size, eta_at(t)
-    the step size."""
+def _projected_update(gradient_at, eta_at):
+    """Projected-gradient update; gradient_at(t, w, rng, meter) supplies the
+    gradient and the batch size, eta_at(t) the step size."""
 
-    def update(t, w, at_w, rng, timed):
-        g, reused_ms, batch = gradient_at(t, w, at_w, rng)
+    def update(t, w, rng, meter):
+        g, batch = gradient_at(t, w, rng, meter)
         eta = eta_at(t)
-        with np.errstate(over="ignore", invalid="ignore"):  # _checked reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # the meter reports it
             y = w - eta * g
-        w, proj_ms = _checked(
-            timed, region.project, t, (g, "gradient"), (y, "pre-projection point")
-        )
-        snap = IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta)
-        return snap, g, batch, None, proj_ms, reused_ms
+        w = meter.project(y, g)
+        return IterateSnapshot(t=t, w=w, v=None, z=None, p=g, gamma=eta), g, batch
 
     return update
 
@@ -389,17 +404,12 @@ def fw_run(
     if not hasattr(rule, "step"):
         raise TypeError(f"unknown step rule: {rule!r}")
 
-    def update(t, w, at_w, rng, timed):
-        if at_w is None or at_w[1] is None:
-            g, reused_ms = _loss_gradient(loss, w, at_w)
-            v, oracle_ms = _checked(timed, region.lmo, t, (g, "gradient"))
-        else:  # untilted: the driver's gradient and vertex at w
-            g, v, g_ms, oracle_ms = at_w
-            reused_ms = (g_ms, oracle_ms)
+    def update(t, w, rng, meter):
+        g = meter.gradient(w)
+        v = meter.lmo(g)
         gamma = rule.step(t, loss, region, w, v, g)
         w = (1.0 - gamma) * w + gamma * v
-        snap = IterateSnapshot(t=t, w=w, v=v, z=None, p=None, gamma=gamma)
-        return snap, g, None, oracle_ms, None, reused_ms
+        return IterateSnapshot(t=t, w=w, v=v, z=None, p=None, gamma=gamma), g, None
 
     return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
 
@@ -425,9 +435,9 @@ def pa_run(
         raise ValueError(f"pa_run option must be 'A' or 'B', got {option!r}")
     p = None
 
-    def gradient_at(t, z, rng):
+    def gradient_at(t, z, rng, meter):
         nonlocal p
-        g = loss.gradient(z)
+        g = meter.gradient(z)
         if option == "B":
             return g, None
         theta, big_theta = theta_schedule(t)
@@ -436,7 +446,7 @@ def pa_run(
 
     return _drive(
         loss, region, iters, init, rng, record_timings, on_iterate,
-        _averaging_update(region, gradient_at),
+        _averaging_update(gradient_at),
     )
 
 
@@ -466,15 +476,15 @@ def spa_run(
     """
     n = loss.n_samples
 
-    def gradient_at(t, z, rng):
+    def gradient_at(t, z, rng, meter):
         size = spa_batch_size(t, n)
         if size == n:  # the full batch draws nothing from rng
-            return loss.gradient(z), size
+            return meter.gradient(z), size
         return loss.stochastic_gradient(z, rng.choice(n, size=size, replace=False)), size
 
     return _drive(
         loss, region, iters, init, rng, record_timings, on_iterate,
-        _averaging_update(region, gradient_at),
+        _averaging_update(gradient_at),
     )
 
 
@@ -489,12 +499,12 @@ def projected_gd_run(
     on_iterate=None,
 ) -> Trace:
     """Projected gradient descent with a constant step size."""
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    update = _projected_update(
-        region, lambda t, w, at_w, rng: (*_loss_gradient(loss, w, at_w), None),
-        lambda t: eta,
-    )
+    if eta == math.inf:
+        raise ValueError(f"eta must be finite, got {eta}")
+    update = _projected_update(lambda t, w, rng, meter: (meter.gradient(w), None),
+                               lambda t: eta)
     return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)
 
 
@@ -514,18 +524,20 @@ def projected_sgd_run(
 
     The step size decays as eta0 / sqrt(t) unless sqrt_decay is disabled.
     """
-    if eta0 <= 0.0:
+    if not eta0 > 0.0:
         raise ValueError(f"eta0 must be > 0, got {eta0}")
+    if eta0 == math.inf:
+        raise ValueError(f"eta0 must be finite, got {eta0}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     n = loss.n_samples
     size = min(batch, n)
 
-    def gradient_at(t, w, at_w, rng):
+    def gradient_at(t, w, rng, meter):
         idx = rng.choice(n, size=size, replace=False)
-        return loss.stochastic_gradient(w, idx), (), size
+        return loss.stochastic_gradient(w, idx), size
 
     update = _projected_update(
-        region, gradient_at, lambda t: eta0 / math.sqrt(t) if sqrt_decay else eta0
+        gradient_at, lambda t: eta0 / math.sqrt(t) if sqrt_decay else eta0
     )
     return _drive(loss, region, iters, init, rng, record_timings, on_iterate, update)

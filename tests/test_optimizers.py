@@ -716,7 +716,9 @@ def _count_calls(monkeypatch, owner, names, counts):
         monkeypatch.setattr(owner, name, wrapped)
 
 
-@pytest.mark.parametrize("kind", ["fw", "fw-tilted", "gd", "spa", "sgd"])
+@pytest.mark.parametrize(
+    "kind", ["fw", "fw-tilted", "gd", "pa-A", "pa-B", "spa", "sgd"]
+)
 def test_call_counts_per_iteration(monkeypatch, kind):
     base, region, _ = _interior_problem()
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
@@ -730,13 +732,16 @@ def test_call_counts_per_iteration(monkeypatch, kind):
         "fw-tilted": lambda: fw_run(tilted, region, PredefinedDecay(), iters,
                                     init=init),
         "gd": lambda: projected_gd_run(base, region, 0.01, iters, init=init),
+        "pa-A": lambda: pa_run(base, region, "A", iters, init=init),
+        "pa-B": lambda: pa_run(base, region, "B", iters, init=init),
         "spa": lambda: spa_run(base, region, iters, init=init, rng=rng),
         "sgd": lambda: projected_sgd_run(base, region, 0.01, 5, iters, init=init,
                                          rng=rng),
     }
     # Full gradient and lmo calls: the gap makes one of each per iteration,
-    # and FW and GD reuse its gradient (untilted FW its vertex too).  SPA
-    # takes a full gradient for each step whose batch is every sample.  The
+    # and FW and GD reuse its gradient (untilted FW its vertex too).  PA asks
+    # at z and at its averaged p, never at the record's arrays.  SPA takes a
+    # full gradient for each step whose batch is every sample.  The
     # record's gradient comes with the base loss's value from one call of
     # the unchecked _value_and_gradient, also under a tilt.
     full_batches = sum(spa_batch_size(t, base.n_samples) == base.n_samples
@@ -745,6 +750,8 @@ def test_call_counts_per_iteration(monkeypatch, kind):
         "fw": (iters + 1, iters + 1),
         "fw-tilted": (iters + 1, 2 * iters),
         "gd": (iters + 1, iters),
+        "pa-A": (2 * iters, 2 * iters),
+        "pa-B": (2 * iters, 2 * iters),
         "spa": (iters + full_batches, 2 * iters),
         "sgd": (iters, iters),
     }
@@ -947,15 +954,42 @@ def test_step_ms_includes_the_reused_gradient_and_oracle_call(monkeypatch):
         monkeypatch.setattr(base, name, slowed(getattr(base, name)))
     monkeypatch.setattr(region, "lmo", slow_lmo)
     tilted = PerturbedLoss(base, 0.05, np.array([0.6, 0.0, 0.8]), 0.1)
+    iters, init = 6, np.zeros(3)
+
+    def assert_ms(column, values):
+        assert column == pytest.approx(values, abs=1e-9, rel=0.0)
+
+    # FW and GD are charged the record's 5 ms gradient, untilted FW its 1 ms
+    # oracle call too; a tilted FW step makes its own oracle call.
     for loss in (base, tilted):
-        trace = fw_run(loss, region, PredefinedDecay(), iters=6,
-                       init=np.zeros(3), record_timings=True)
-        assert min(trace.step_ms) >= 6.0 - 1e-9
-        assert min(trace.oracle_ms) >= 1.0 - 1e-9
+        trace = fw_run(loss, region, PredefinedDecay(), iters=iters,
+                       init=init, record_timings=True)
+        assert_ms(trace.step_ms, [6.0] * iters)
+        assert_ms(trace.oracle_ms, [1.0] * iters)
+        assert trace.proj_ms == [None] * iters
     for loss in (base, tilted):
-        trace = projected_gd_run(loss, region, eta=0.01, iters=6,
-                                 init=np.zeros(3), record_timings=True)
-        assert min(trace.step_ms) >= 5.0 - 1e-9
+        trace = projected_gd_run(loss, region, eta=0.01, iters=iters,
+                                 init=init, record_timings=True)
+        assert_ms(trace.step_ms, [5.0] * iters)
+        assert_ms(trace.proj_ms, [0.0] * iters)
+        assert trace.oracle_ms == [None] * iters
+    # PA, SPA and SGD reuse nothing: a step pays for its own gradient (5 ms
+    # when full, 0 for a batch) and its own oracle call or projection.
+    for option in ("A", "B"):
+        trace = pa_run(base, region, option, iters, init=init, record_timings=True)
+        assert_ms(trace.step_ms, [6.0] * iters)
+        assert_ms(trace.oracle_ms, [1.0] * iters)
+    trace = spa_run(base, region, iters, init=init, rng=np.random.default_rng(3),
+                    record_timings=True)
+    assert_ms(trace.step_ms, [
+        6.0 if spa_batch_size(t, base.n_samples) == base.n_samples else 1.0
+        for t in range(1, iters + 1)
+    ])
+    assert_ms(trace.oracle_ms, [1.0] * iters)
+    trace = projected_sgd_run(base, region, 0.01, 5, iters, init=init,
+                              rng=np.random.default_rng(3), record_timings=True)
+    assert_ms(trace.step_ms, [0.0] * iters)
+    assert_ms(trace.proj_ms, [0.0] * iters)
 
 
 def test_observer_arrays_are_not_mutated_after_the_snapshot():
@@ -1169,6 +1203,33 @@ def test_sgd_rejects_a_nonpositive_initial_step():
     loss, region, _ = _interior_problem()
     with pytest.raises(ValueError, match="eta0 must be > 0, got 0.0"):
         projected_sgd_run(loss, region, eta0=0.0, batch=1, iters=3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda *problem: fw_run(*problem, QuadraticLineSearch(math.nan), 3),
+                 "smoothness must be > 0, got nan", id="quadratic-smoothness"),
+    pytest.param(lambda *problem: fw_run(*problem, ExactLineSearch(math.nan), 3),
+                 "tol must be > 0, got nan", id="exact-tol"),
+    pytest.param(lambda *problem: fw_run(*problem, ShortStep(math.nan, 1.0), 3),
+                 "smoothness must be > 0, got nan", id="short-smoothness"),
+    pytest.param(lambda *problem: fw_run(*problem, ShortStep(1.0, math.nan), 3),
+                 "alpha must be > 0, got nan", id="short-alpha"),
+    pytest.param(lambda *problem: projected_gd_run(*problem, math.nan, 3),
+                 "eta must be > 0, got nan", id="gd-eta-nan"),
+    pytest.param(lambda *problem: projected_gd_run(*problem, math.inf, 3),
+                 "eta must be finite, got inf", id="gd-eta-inf"),
+    pytest.param(lambda *problem: projected_sgd_run(*problem, math.nan, 1, 3),
+                 "eta0 must be > 0, got nan", id="sgd-eta0-nan"),
+    pytest.param(lambda *problem: projected_sgd_run(*problem, math.inf, 1, 3),
+                 "eta0 must be finite, got inf", id="sgd-eta0-inf"),
+])
+def test_step_parameters_reject_nan_and_inf(call, message):
+    # NaN fails every comparison, so `x <= 0` would pass it: the quadratic
+    # rule would step gamma = 1 and the exact rule skip its search.  An
+    # infinite eta is refused at the call, not at the first projection.
+    loss, region, _ = _interior_problem()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(loss, region)
 
 
 def test_fw_rejects_a_rule_without_a_step():
